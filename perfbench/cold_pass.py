@@ -7,9 +7,10 @@ therefore runs in a fresh interpreter started by ``run.py``.
 
     python3 perfbench/cold_pass.py --workload cli-session --seed 1 [--trace]
 
-prints one JSON line: wall time, per-request latencies, peak RSS, the
-failures found by the output checks (run after the timed region) and a
-SHA-256 of the outputs; with ``--trace``, also the per-layer metrics.
+prints one JSON line: per-request latencies, measured and scaled to the
+reference speed (see ``speed.py``), peak RSS, the failures found by the
+output checks (run after the timed region) and a SHA-256 of the outputs;
+with ``--trace``, also the per-layer metrics.
 With ``--setup-only`` it imports the package, generates the inputs and
 exits, which is what ``run.py`` times as set-up.
 """
@@ -21,36 +22,37 @@ import hashlib
 import json
 import resource
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import workloads  # noqa: E402
+from speed import Span  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 SPAN_DIR = ROOT / ".perfbench"
 
 
 def run_pass(requests, tracer: Tracer | None) -> dict:
-    latencies, results = [], []
-    pass_start = time.perf_counter()
+    latencies, scaled, pauses, results = [], [], [], []
     for request_id, request in enumerate(requests):
-        start = time.perf_counter()
-        try:
-            if tracer is None:
-                result = workloads.execute(request)
-            else:
-                result = tracer.run_request(request_id, workloads.execute, request)
-        except Exception as exc:  # a failing request is counted, not fatal
-            result = exc
-        latencies.append(time.perf_counter() - start)
+        with Span(sample=True) as span:
+            try:
+                if tracer is None:
+                    result = workloads.execute(request)
+                else:
+                    result = tracer.run_request(request_id, workloads.execute, request)
+            except Exception as exc:  # a failing request is counted, not fatal
+                result = exc
+        latencies.append(span.seconds)
+        scaled.append(span.scaled)
+        pauses += span.pauses
         results.append(result)
-    wall = time.perf_counter() - pass_start
     # KiB on Linux
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {"wall_s": wall, "latencies_s": latencies, "peak_rss_mb": peak_rss_mb, "results": results}
+    return {"latencies_s": latencies, "scaled_latencies_s": scaled, "peak_rss_mb": peak_rss_mb,
+            "pauses": pauses, "results": results}
 
 
 def check_outputs(requests, results) -> tuple[list, str]:
@@ -88,10 +90,11 @@ def main(argv=None) -> int:
         tracer.install()
     outcome = run_pass(requests, tracer)
     results = outcome.pop("results")
+    pauses = outcome.pop("pauses")
     report = dict(outcome)
     if tracer is not None:
         tracer.uninstall()
-        report["layers"] = tracer.layer_metrics()
+        report["layers"] = tracer.layer_metrics(pauses)
         SPAN_DIR.mkdir(exist_ok=True)
         tracer.write_spans(SPAN_DIR / f"spans-{args.workload}.tsv")
     failures, sha256 = check_outputs(requests, results)

@@ -1,27 +1,25 @@
 """Benchmark entry point: cold passes over one workload, one process and thread each.
 
-    python3 perfbench/run.py --workload springer-ladder --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload springer-ladder --seed 1 --seconds 40 --trace 0
 
 Cold passes, each in a fresh interpreter, run one after another until
 the next one would end past ``--seconds`` (at least one runs). Set-up is
 timed by launches of ``cold_pass.py --setup-only`` (interpreter start,
 ``import poincare_series``, input generation): a few before the first
-pass and one after each pass, so that the samples are spread over the
+pass and a few after each pass, so that the samples are spread over the
 run like the passes are; ``setup_s`` is their median.
 
-``request_p50_s`` is the median latency over every request of every
-pass. ``wall_s`` is the fastest of the run's k cold passes, and
-``request_max_s`` the slowest request by its fastest latency over the k
-passes: slow-downs from outside the process only ever add time, so the
-fastest sample is the least disturbed one. On a 2-vCPU Xeon virtual
-machine whose speed drifted by up to 2x for seconds to minutes at a
-time, this was steadier than the median of k in some sets of runs and
-no better in others.
+Every time is scaled to the reference speed (``speed.py``), because the
+machine's own speed drifts. ``wall_s`` is the median over the run's
+passes of the pass's summed request latencies; ``request_p50_s`` the
+median latency over every request of every pass; ``request_max_s`` the
+largest, over the requests, of a request's median latency across passes.
 
 With ``--trace 1`` untraced and traced passes alternate; per-layer times
-are best-of-k over the traced passes, counts come from the first one
-(they repeat exactly), and ``trace.overhead_s`` is the fastest traced
-pass minus the fastest untraced one.
+are medians over the traced passes, each scaled by its pass's
+scaled-to-measured ratio, counts come from the first traced pass (they
+repeat exactly), and ``trace.overhead_s`` is the median traced ``wall_s``
+minus the median untraced one.
 
 Output checks run inside each pass after its timed region. A line with
 the environment, the error rate, the output digests and every pass's
@@ -41,9 +39,12 @@ import sys
 import time
 from pathlib import Path
 
+from speed import Span
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_LAUNCHES_FIRST = 4
+SETUP_LAUNCHES_FIRST = 8
+SETUP_LAUNCHES_PER_ROUND = 3
 # every run must end well inside the 180 s a run is allowed
 HARD_LIMIT_S = 170.0
 
@@ -54,9 +55,8 @@ END_TO_END = {
     "request_max_s": "s",
     "peak_rss_mb": "MB",
 }
-LAYER_UNITS = {"calls": "count", "coeff_ops": "count", "terms": "count", "nonzero_exits": "count",
-               "repeat_calls": "count", "max_num_degree": "degree", "max_coeff_bits": "bits",
-               "ns_per_coeff_op": "ns"}
+# units of per-layer metrics that are exact counts rather than times
+COUNT_UNITS = ("count", "degree", "bits")
 
 
 class BenchError(Exception):
@@ -79,9 +79,10 @@ def launch(args: list[str], deadline: float) -> str:
 
 
 def time_setup(base: list[str], deadline: float) -> float:
-    start = time.perf_counter()
-    launch(base + ["--setup-only"], deadline)
-    return time.perf_counter() - start
+    """Scaled seconds of one set-up launch."""
+    with Span(sample=False) as span:
+        launch(base + ["--setup-only"], deadline)
+    return span.scaled
 
 
 def run_passes(workload: str, seed: int, seconds: float, traced: bool, deadline: float):
@@ -99,7 +100,7 @@ def run_passes(workload: str, seed: int, seconds: float, traced: bool, deadline:
         plain.append(json.loads(launch(base, deadline)))
         if traced:
             with_trace.append(json.loads(launch(base + ["--trace"], deadline)))
-        setup.append(time_setup(base, deadline))
+        setup += [time_setup(base, deadline) for _ in range(SETUP_LAUNCHES_PER_ROUND)]
         rounds.append(time.perf_counter() - round_start)
         projected = time.perf_counter() + statistics.median(rounds)
         if projected - start > seconds or projected > deadline:
@@ -119,48 +120,48 @@ def environment() -> dict:
 
 
 def commit() -> str:
-    """HEAD of the checkout's git repository, read from .git; 'unknown' outside one."""
-    git = ROOT / ".git"
+    """HEAD of the checkout's git repository; 'unknown' outside one."""
     try:
-        head = (git / "HEAD").read_text(encoding="utf-8").strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        ref_file = git / ref
-        if ref_file.exists():
-            return ref_file.read_text(encoding="utf-8").strip()
-        for line in (git / "packed-refs").read_text(encoding="utf-8").splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        # the ceiling keeps git from reporting a repository that encloses the checkout
+        env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(ROOT.parent))
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+
+def pass_wall(report: dict) -> float:
+    return sum(report["scaled_latencies_s"])
 
 
 def end_to_end(setup: list, passes: list) -> dict:
     # every pass of a run sends the same requests, so latencies line up by position
-    best = [min(samples) for samples in zip(*(p["latencies_s"] for p in passes))]
+    per_request = zip(*(p["scaled_latencies_s"] for p in passes))
     values = {
         "setup_s": statistics.median(setup),
-        "wall_s": min(p["wall_s"] for p in passes),
-        "request_p50_s": statistics.median(t for p in passes for t in p["latencies_s"]),
-        "request_max_s": max(best),
+        "wall_s": statistics.median(pass_wall(p) for p in passes),
+        "request_p50_s": statistics.median(t for p in passes for t in p["scaled_latencies_s"]),
+        "request_max_s": max(statistics.median(samples) for samples in per_request),
         "peak_rss_mb": statistics.median(p["peak_rss_mb"] for p in passes),
     }
     return {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END.items()}
 
 
 def per_layer(plain: list, with_trace: list) -> dict:
+    """Counts and sizes from the first traced pass (they repeat exactly), times as medians."""
     metrics = {}
     for name, first in with_trace[0]["layers"].items():
-        kind = name.rsplit(".", 1)[1]
-        unit = LAYER_UNITS.get(kind, "s")
-        if unit in ("count", "degree", "bits"):
-            value = first
+        if first["unit"] in COUNT_UNITS:
+            metrics[name] = first
         else:
-            value = min(p["layers"][name] for p in with_trace)
-        metrics[name] = {"value": value, "unit": unit}
-    overhead = min(p["wall_s"] for p in with_trace) - min(p["wall_s"] for p in plain)
+            value = statistics.median(
+                p["layers"][name]["value"] * pass_wall(p) / sum(p["latencies_s"])
+                for p in with_trace
+            )
+            metrics[name] = {"value": value, "unit": first["unit"]}
+    overhead = (statistics.median(pass_wall(p) for p in with_trace)
+                - statistics.median(pass_wall(p) for p in plain))
     metrics["trace.overhead_s"] = {"value": overhead, "unit": "s"}
     return metrics
 
@@ -176,6 +177,9 @@ def main(argv=None) -> int:
     if not (ROOT / "src" / "poincare_series" / "__init__.py").is_file():
         print("perfbench: src/poincare_series not found; run from a full checkout", file=sys.stderr)
         return 2
+    # passes, set-up launches and the speed samples around them share one CPU,
+    # so the samples see the speed of the CPU the work ran on
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     deadline = time.perf_counter() + HARD_LIMIT_S
     try:
         setup, plain, with_trace = run_passes(
@@ -202,7 +206,8 @@ def main(argv=None) -> int:
         "end_to_end": end_to_end(setup, plain),
         "setup_samples_s": setup,
         "untraced_passes": [
-            {key: p[key] for key in ("wall_s", "latencies_s", "peak_rss_mb")} for p in plain
+            {key: p[key] for key in ("latencies_s", "scaled_latencies_s", "peak_rss_mb")}
+            for p in plain
         ],
         "traced_passes": len(with_trace),
     }

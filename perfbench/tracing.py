@@ -18,6 +18,8 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from time import perf_counter_ns
 
 PACKAGE = "poincare_series"
@@ -193,18 +195,29 @@ class Tracer:
 
     # results
 
-    def self_times_ns(self) -> list[int]:
-        """Per span: its duration minus the time covered by its child spans."""
-        start, end, parent = self.start, self.end, self.parent
-        own = [e - s for s, e in zip(start, end)]
-        for sid, p in enumerate(parent):
+    def self_times_ns(self, pauses: list) -> list[int]:
+        """Per span: its duration minus the time covered by its child spans.
+
+        ``pauses`` are the (start, end) of the speed samples taken while the
+        pass ran, in time order (see ``speed.Span``). A sample runs between
+        two bytecodes of the innermost open span, so it lies wholly inside or
+        outside each span; it is taken out of every span that holds it.
+        """
+        starts = [s for s, _ in pauses]
+        before = list(accumulate((e - s for s, e in pauses), initial=0))
+        duration = [
+            e - s - (before[bisect_right(starts, e)] - before[bisect_left(starts, s)])
+            for s, e in zip(self.start, self.end)
+        ]
+        own = list(duration)
+        for sid, p in enumerate(self.parent):
             if p >= 0:
-                own[p] -= end[sid] - start[sid]
+                own[p] -= duration[sid]
         return own
 
-    def layer_metrics(self) -> dict:
-        """Per-layer counts, self times and sizes of the traced pass."""
-        own = self.self_times_ns()
+    def layer_metrics(self, pauses: list) -> dict:
+        """Per-layer counts, self times and sizes of the traced pass, each with its unit."""
+        own = self.self_times_ns(pauses)
         calls = [0] * len(self.names)
         self_ns = [0] * len(self.names)
         for sid, name_id in enumerate(self.span_name):
@@ -219,7 +232,7 @@ class Tracer:
             "springer.phi_factored", "springer.poincare_series",
             "counting.dimension", "golden.check_record", "cli.main", "cli.greedy_factor",
         ):
-            out[f"{name}.calls"] = calls[self.name_ids[name]]
+            out[f"{name}.calls"] = (calls[self.name_ids[name]], "count")
         for name in (
             "algebra.poly_mul", "algebra.poly_divmod", "algebra.poly_gcd",
             "algebra.ratfun_init", "algebra.to_ratfun", "algebra.factored_add",
@@ -229,26 +242,32 @@ class Tracer:
             "counting.dimension", "closedform.all_ones", "closedform.all_twos",
             "golden.check_record", "cli.main", "cli.greedy_factor",
         ):
-            out[f"{name}.self_s"] = self_ns[self.name_ids[name]] / 1e9
+            out[f"{name}.self_s"] = (self_ns[self.name_ids[name]] / 1e9, "s")
         coeff_ops = self.counters.get("algebra.poly_mul.coeff_ops", 0)
-        out["algebra.poly_mul.coeff_ops"] = coeff_ops
-        out["algebra.poly_mul.ns_per_coeff_op"] = (
-            out["algebra.poly_mul.self_s"] * 1e9 / coeff_ops if coeff_ops else 0.0
-        )
+        out["algebra.poly_mul.coeff_ops"] = (coeff_ops, "count")
+        mul_ns = self_ns[self.name_ids["algebra.poly_mul"]]
+        out["algebra.poly_mul.ns_per_coeff_op"] = (mul_ns / coeff_ops if coeff_ops else 0.0, "ns")
         terms = [a for pfd in self.pfd_results for _, _, a in pfd.terms]
-        out["springer.pfd.terms"] = len(terms)
-        out["springer.pfd.max_num_degree"] = max((a.num.degree for a in terms), default=0)
-        out["springer.pfd.max_coeff_bits"] = max((coeff_bits(a.num) for a in terms), default=0)
-        out["springer.phi_factored.max_num_degree"] = self.phi_max_degree
-        out["springer.poincare_series.repeat_calls"] = len(self.repeat_spans)
-        out["springer.poincare_series.repeat_s"] = sum(own[sid] for sid in self.repeat_spans) / 1e9
         results = self.series_results
-        out["springer.result.max_num_degree"] = max((f.num.degree for f in results), default=0)
-        out["springer.result.max_coeff_bits"] = max(
-            (max(coeff_bits(f.num), coeff_bits(f.den)) for f in results), default=0
+        repeat_ns = sum(own[sid] for sid in self.repeat_spans)
+        out["springer.pfd.terms"] = (len(terms), "count")
+        out["springer.pfd.max_num_degree"] = (
+            max((a.num.degree for a in terms), default=0), "degree"
         )
-        out["cli.main.nonzero_exits"] = self.counters.get("cli.main.nonzero_exits", 0)
-        return out
+        out["springer.pfd.max_coeff_bits"] = (
+            max((coeff_bits(a.num) for a in terms), default=0), "bits"
+        )
+        out["springer.phi_factored.max_num_degree"] = (self.phi_max_degree, "degree")
+        out["springer.poincare_series.repeat_calls"] = (len(self.repeat_spans), "count")
+        out["springer.poincare_series.repeat_s"] = (repeat_ns / 1e9, "s")
+        out["springer.result.max_num_degree"] = (
+            max((f.num.degree for f in results), default=0), "degree"
+        )
+        out["springer.result.max_coeff_bits"] = (
+            max((max(coeff_bits(f.num), coeff_bits(f.den)) for f in results), default=0), "bits"
+        )
+        out["cli.main.nonzero_exits"] = (self.counters.get("cli.main.nonzero_exits", 0), "count")
+        return {name: {"value": value, "unit": unit} for name, (value, unit) in out.items()}
 
     def write_spans(self, path) -> None:
         """One tab-separated line per span: id, parent, request, name, start_ns, end_ns."""
