@@ -1,16 +1,20 @@
 """Exact univariate arithmetic over the rationals.
 
-Dense polynomials and reduced rational functions in one variable z with
-Fraction coefficients, plus a factored representation that keeps the
-denominator as a multiset of (1 - z^a) factors so that multisection,
-differentiation and cancellation can work factor by factor without ever
-expanding a large product.
+A polynomial in one variable z is stored as integer numerators over one
+positive integer denominator, so that products and divisions run on
+Python ints: a product packs both numerator lists into single big
+integers (Kronecker substitution) and lets the interpreter's big-integer
+multiply do the convolution. On top of that sit reduced rational
+functions, plus a factored representation that keeps the denominator as
+a multiset of (1 - z^a) factors so that multisection, differentiation
+and cancellation can work factor by factor without ever expanding a
+large product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -24,20 +28,81 @@ def _coeff(value) -> Fraction:
     raise TypeError(f"expected an exact rational coefficient, got {type(value).__name__}")
 
 
-class Poly:
-    """Dense polynomial with Fraction coefficients, ascending exponents.
+def _bias(count: int, width: int) -> int:
+    """2^(8*width - 1) in each of ``count`` digits of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
-    The zero polynomial is the empty coefficient tuple; otherwise the last
-    stored coefficient is nonzero, so ``degree`` is ``len(coeffs) - 1``.
+
+def _pack(ints, width: int, half: int) -> int:
+    """The signed integer sum of ints[i] * 2^(8*width*i); every |ints[i]| < half."""
+    digits = b"".join([(c + half).to_bytes(width, "little") for c in ints])
+    return int.from_bytes(digits, "little") - _bias(len(ints), width)
+
+
+def _kronecker_mul(a, b) -> list:
+    """Convolution of two nonempty int sequences by Kronecker substitution.
+
+    Each sequence becomes one integer with a digit of ``width`` bytes per
+    coefficient, the two integers are multiplied once, and the product's
+    digits are read back. The width leaves room for the largest possible
+    product coefficient and its sign; adding ``half`` to every digit
+    before unpacking makes each digit nonnegative, so no borrow crosses a
+    digit boundary.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+    x = _pack(a, width, half)
+    y = x if b is a else _pack(b, width, half)
+    size = len(a) + len(b) - 1
+    buf = (x * y + _bias(size, width)).to_bytes(size * width, "little")
+    return [
+        int.from_bytes(buf[i : i + width], "little") - half
+        for i in range(0, size * width, width)
+    ]
+
+
+def _is_monomial(ints) -> bool:
+    return not any(ints[:-1])
+
+
+class Poly:
+    """Polynomial with rational coefficients, ascending exponents.
+
+    Stored as ``ints``, a tuple of int numerators, over ``denom``, one
+    positive int denominator: coefficient i is ints[i] / denom. The form
+    is canonical, so equal polynomials have equal fields: the last
+    numerator is nonzero, and the numerators' common divisor is coprime
+    to ``denom``. The zero polynomial is ``()`` over 1, and ``degree`` is
+    ``len(ints) - 1``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "denom")
 
     def __init__(self, coeffs=()):
-        cs = [_coeff(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [c if type(c) is int else _coeff(c) for c in coeffs]
+        denom = lcm(*[c.denominator for c in cs])
+        self._set([c.numerator * (denom // c.denominator) for c in cs], denom)
+
+    def _set(self, ints: list, denom: int) -> None:
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints:
+            denom = 1
+        elif denom != 1:
+            g = gcd(denom, *ints)
+            if g != 1:
+                ints = [c // g for c in ints]
+                denom //= g
+        self.ints = tuple(ints)
+        self.denom = denom
+
+    @classmethod
+    def _from_ints(cls, ints: list, denom: int = 1) -> "Poly":
+        """Canonical Poly of ints / denom, for any list of ints and positive denom."""
+        p = cls.__new__(cls)
+        p._set(ints, denom)
+        return p
 
     @classmethod
     def monomial(cls, exponent: int, coefficient=1) -> "Poly":
@@ -46,54 +111,67 @@ class Poly:
         return cls([0] * exponent + [coefficient])
 
     @property
+    def coeffs(self) -> tuple:
+        """The exact coefficients: ints when the denominator is 1, Fractions otherwise."""
+        if self.denom == 1:
+            return self.ints
+        return tuple([Fraction(c, self.denom) for c in self.ints])
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.denom == other.denom
 
     def __hash__(self):
+        # equal int and Fraction values hash alike, so a Poly hashes like
+        # the tuple of its Fraction coefficients
         return hash(self.coeffs)
 
     def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
+        return f"Poly({[Fraction(c, self.denom) for c in self.ints]!r})"
 
     def __getitem__(self, exponent: int) -> Fraction:
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
+        if 0 <= exponent < len(self.ints):
+            return Fraction(self.ints[exponent], self.denom)
         return Fraction(0)
 
     def __call__(self, x):
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.ints):
             acc = acc * x + c
-        return acc
+        return acc / self.denom
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly._from_ints([-c for c in self.ints], self.denom)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, denom = self.ints, other.ints, self.denom
+        if other.denom != denom:
+            denom = lcm(denom, other.denom)
+            a = [c * (denom // self.denom) for c in a]
+            b = [c * (denom // other.denom) for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._from_ints(out, denom)
 
     __radd__ = __add__
 
@@ -106,21 +184,23 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
-            if not c:
-                return Poly()
-            return Poly([c * a for a in self.coeffs])
+            return Poly._from_ints(
+                [c.numerator * a for a in self.ints] if c else [],
+                self.denom * c.denominator,
+            )
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Poly(out)
+        a, b = self.ints, other.ints
+        if not a or not b:
+            return ZERO
+        denom = self.denom * other.denom
+        if _is_monomial(a):
+            a, b = b, a
+        if _is_monomial(b):
+            # a single term c z^k: scale and shift
+            c = b[-1]
+            return Poly._from_ints([0] * (len(b) - 1) + [c * x for x in a], denom)
+        return Poly._from_ints(_kronecker_mul(a, b), denom)
 
     __rmul__ = __mul__
 
@@ -137,23 +217,48 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly"):
+        """Quotient and remainder over Q, by long division on the numerators.
+
+        The divisor's numerators are made primitive first, so that an exact
+        division (the quotient then has integer numerators by Gauss's
+        lemma) never leaves the integers. Otherwise, when a step's leading
+        numerator is not a multiple of the divisor's, the open part of the
+        remainder and the quotient so far are scaled by the missing factor,
+        which the final denominators then carry. Each step touches only the
+        divisor's nonzero terms, so dividing by 1 - z^a costs O(degree).
+        """
         if not isinstance(other, Poly):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero")
-        rem = list(self.coeffs)
         dd, dv = self.degree, other.degree
         if dd < dv:
-            return Poly(), self
-        inv_lead = 1 / other.coeffs[-1]
-        quot = [Fraction(0)] * (dd - dv + 1)
+            return ZERO, self
+        content = gcd(*other.ints)
+        divisor = [c // content for c in other.ints]
+        lead = divisor[-1]
+        terms = [(j, c) for j, c in enumerate(divisor[:-1]) if c]
+        rem = list(self.ints)
+        quot = [0] * (dd - dv + 1)
+        scale = 1
         for k in range(dd - dv, -1, -1):
-            q = rem[k + dv] * inv_lead
-            if q:
-                quot[k] = q
-                for j, c in enumerate(other.coeffs):
-                    rem[k + j] -= q * c
-        return Poly(quot), Poly(rem)
+            top = rem[k + dv]
+            if not top:
+                continue
+            q, r = divmod(top, lead)
+            if r:
+                m = abs(lead) // gcd(top, lead)
+                rem[: k + dv] = [c * m for c in rem[: k + dv]]
+                quot[k + 1 :] = [c * m for c in quot[k + 1 :]]
+                scale *= m
+                q = top * m // lead
+            quot[k] = q
+            for j, c in terms:
+                rem[k + j] -= q * c
+        return (
+            Poly._from_ints([c * other.denom for c in quot], scale * content * self.denom),
+            Poly._from_ints(rem[:dv], scale * self.denom),
+        )
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -168,7 +273,7 @@ class Poly:
         return q
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._from_ints([i * c for i, c in enumerate(self.ints)][1:], self.denom)
 
     def compose_power(self, a: int) -> "Poly":
         """Substitute z -> z^a."""
@@ -176,34 +281,35 @@ class Poly:
             raise ValueError("compose_power needs a >= 1")
         if a == 1 or self.is_zero():
             return self
-        out = [Fraction(0)] * (a * self.degree + 1)
-        for i, c in enumerate(self.coeffs):
-            out[a * i] = c
-        return Poly(out)
+        out = [0] * (a * self.degree + 1)
+        out[::a] = self.ints
+        return Poly._from_ints(out, self.denom)
 
     def multisect(self, n: int) -> "Poly":
         """Keep coefficients at exponents divisible by n, compressing z^(n*i) -> z^i."""
         if n < 1:
             raise ValueError("multisect needs n >= 1")
-        return Poly(self.coeffs[::n])
+        return Poly._from_ints(list(self.ints[::n]), self.denom)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by z^k."""
         if self.is_zero():
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return Poly._from_ints([0] * k + list(self.ints), self.denom)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lead = self.coeffs[-1]
-        if lead == 1:
+        lead = self.ints[-1]
+        if lead == self.denom:
             return self
-        return Poly([c / lead for c in self.coeffs])
+        if lead < 0:
+            return Poly._from_ints([-c for c in self.ints], -lead)
+        return Poly._from_ints(list(self.ints), lead)
 
     def to_string(self, var: str = "z") -> str:
         """Human-readable form, ascending exponents: 1 + 4z + 2z^3."""
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -232,14 +338,14 @@ def one_minus_z(a: int) -> Poly:
     """The factor 1 - z^a."""
     if a < 1:
         raise ValueError("factor exponent must be >= 1")
-    return Poly([1] + [0] * (a - 1) + [-1])
+    return Poly._from_ints([1] + [0] * (a - 1) + [-1])
 
 
 def q_block(n: int) -> Poly:
     """Geometric block 1 + z + ... + z^(n-1), the cofactor in (1 - z^a)(block at z^a) = 1 - z^(an)."""
     if n < 1:
         raise ValueError("empty block")
-    return Poly([1] * n)
+    return Poly._from_ints([1] * n)
 
 
 def pochhammer(n: int, m: int) -> int:
@@ -302,7 +408,7 @@ class RatFun:
         g = poly_gcd(num, den)
         if g.degree > 0:
             num, den = num.divexact(g), den.divexact(g)
-        lead = den.coeffs[-1]
+        lead = den[den.degree]
         if lead != 1:
             num, den = num * (1 / lead), den.monic()
         self.num, self.den = num, den

@@ -74,11 +74,9 @@ def greedy_factor(den: Poly):
 
 def _clear_pair(num: Poly, other: Poly):
     """Scale two polynomials by one rational so both become integer and primitive."""
-    scale = 1
-    for c in (*num.coeffs, *other.coeffs):
-        scale = lcm(scale, c.denominator)
-    ni = [int(c * scale) for c in num.coeffs]
-    oi = [int(c * scale) for c in other.coeffs]
+    scale = lcm(num.denom, other.denom)
+    ni = [c * (scale // num.denom) for c in num.ints]
+    oi = [c * (scale // other.denom) for c in other.ints]
     content = 0
     for v in (*ni, *oi):
         content = gcd(content, abs(v))

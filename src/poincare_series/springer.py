@@ -79,7 +79,8 @@ def _t_derivative(dfp: dict) -> dict:
                 out[new_key] = (coeff, zp)
             else:
                 # the z-power is a function of the key alone
-                assert prev[1] == zp
+                if prev[1] != zp:
+                    raise RuntimeError("inconsistent z-power in partial fraction derivative")
                 out[new_key] = (prev[0] + coeff, zp)
     return out
 
@@ -109,26 +110,26 @@ def _evaluate_at_pole(dfp: dict, i: int, order: int) -> FactoredRatFun:
                     sign = -sign
                 zexp += mlt * (i - e)
                 fac[i - e] = fac.get(i - e, 0) + mlt
-        pieces.append((Fraction(sign * c), zexp, fac))
+        pieces.append((sign * c, zexp, fac))
         for a, mlt in fac.items():
             common[a] = max(common.get(a, 0), mlt)
-    prefactor = Fraction((-1) ** order, factorial(order))
-    laurent: dict[int, Fraction] = {}
+    # integer numerator; the (-1)^order/order! prefactor goes into the scale
+    laurent: dict[int, int] = {}
     for coeff, zexp, fac in pieces:
         fill = ONE
         for a, mlt in common.items():
             gap = mlt - fac.get(a, 0)
             if gap:
                 fill = fill * one_minus_z(a) ** gap
-        coeff = coeff * prefactor
-        for off, cf in enumerate(fill.coeffs):
+        # a product of (1 - z^a) factors: denominator 1
+        for off, cf in enumerate(fill.ints):
             if cf:
-                laurent[zexp + off] = laurent.get(zexp + off, Fraction(0)) + coeff * cf
+                laurent[zexp + off] = laurent.get(zexp + off, 0) + coeff * cf
     if any(e < 0 and c for e, c in laurent.items()):
         raise RuntimeError("partial fraction coefficient has a pole at z = 0")
     top = max((e for e, c in laurent.items() if c), default=-1)
     num = Poly([laurent.get(e, 0) for e in range(top + 1)])
-    return FactoredRatFun(num, common)
+    return FactoredRatFun(num, common, Fraction((-1) ** order, factorial(order)))
 
 
 def partial_fractions(exponents: dict) -> PFD:

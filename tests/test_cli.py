@@ -1,6 +1,10 @@
 import json
+import os
+import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from poincare_series.cli import (
     main,
 )
 from poincare_series.springer import poincare_series
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -231,15 +237,35 @@ class TestFormattingHelpers:
         assert format_reduced(f) == "num = 1\nden = 2 -2"
 
 
+def console_script(name):
+    """Command and environment that run the console script ``name``.
+
+    The installed script when it is on PATH. Otherwise its
+    ``[project.scripts]`` target from pyproject.toml, called by this
+    interpreter with ``src`` on PYTHONPATH, as from a plain checkout.
+    """
+    path = shutil.which(name)
+    if path:
+        return [path], None
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    target = re.search(rf'^{re.escape(name)}\s*=\s*"([\w.]+):(\w+)"', scripts, re.M)
+    module, func = target.groups()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return [sys.executable, "-c", f"from {module} import {func}; {func}()"], env
+
+
 class TestInstalledScript:
     def test_console_entry_point(self):
+        command, env = console_script("poincare-series")
         proc = subprocess.run(
-            ["poincare-series", "--d", "1,1", "--kind", "covariants", "--format", "factored"],
+            command + ["--d", "1,1", "--kind", "covariants", "--format", "factored"],
             capture_output=True,
-            text=True,
+            env=env,
         )
         assert proc.returncode == 0
-        assert proc.stdout == "1 / (1-z)^2 (1-z^2)\n"
+        assert proc.stdout == b"1 / (1-z)^2 (1-z^2)\n"
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,0 +1,214 @@
+"""The integer Poly kernel against a schoolbook Fraction reference.
+
+Inputs cover the places a packed or integer kernel can go wrong: signed
+coefficients, magnitudes at the edges of a byte-wide digit, coefficients
+far beyond a machine word, rationals over different denominators, empty,
+constant and single-term operands, and divisors that are 1 - z^a or are
+not monic.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poincare_series.algebra import Poly, one_minus_z
+
+
+# schoolbook reference on lists of Fractions, ascending exponents
+
+
+def strip(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return strip(out)
+
+
+def ref_divmod(a, b):
+    a, b = strip(a), strip(b)
+    rem = list(a)
+    if len(a) < len(b):
+        return [], rem
+    quot = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        q = rem[k + len(b) - 1] / b[-1]
+        quot[k] = q
+        for j, c in enumerate(b):
+            rem[k + j] -= q * c
+    return strip(quot), strip(rem)
+
+
+def ref_derivative(a):
+    return strip([i * c for i, c in enumerate(a)][1:])
+
+
+def ref_compose_power(a, n):
+    out = [Fraction(0)] * (n * (len(a) - 1) + 1) if a else []
+    for i, c in enumerate(a):
+        out[n * i] = c
+    return strip(out)
+
+
+def ref_multisect(a, n):
+    return strip(a[::n])
+
+
+def ref_shift(a, k):
+    return strip([0] * k + list(a)) if strip(a) else []
+
+
+def values(p: Poly):
+    return list(p.coeffs)
+
+
+# inputs
+
+BYTE_EDGES = [s * (2 ** (8 * k) - 1) for k in range(1, 5) for s in (1, -1)] + [
+    -(2 ** (8 * k)) for k in range(1, 5)
+]
+HALF_EDGES = [s * 2 ** (8 * k - 1) + t for k in range(1, 5) for s in (1, -1) for t in (-1, 0)]
+
+coefficients = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.sampled_from(BYTE_EDGES + HALF_EDGES),
+    st.integers(min_value=2**256, max_value=2**300).flatmap(
+        lambda v: st.sampled_from((v, -v))
+    ),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+
+
+def monomials(coeff):
+    return st.builds(lambda k, c: [0] * k + [c], st.integers(0, 6), coeff.filter(bool))
+
+
+coeff_lists = st.one_of(
+    st.lists(coefficients, max_size=24),
+    st.lists(coefficients, min_size=1, max_size=1),
+    monomials(coefficients),
+)
+
+nonmonic_divisors = st.builds(
+    lambda body, lead: body + [lead],
+    st.lists(coefficients, max_size=8),
+    st.one_of(
+        st.integers(min_value=2, max_value=2**70).flatmap(lambda v: st.sampled_from((v, -v))),
+        st.fractions(max_denominator=30).filter(lambda x: x and abs(x) != 1),
+    ),
+)
+divisor_lists = st.one_of(
+    st.integers(1, 9).map(lambda a: values(one_minus_z(a))),
+    nonmonic_divisors,
+    coeff_lists.filter(lambda cs: any(cs)),
+)
+
+SETTINGS = settings(deadline=None, max_examples=150)
+
+
+class TestAgainstReference:
+    @given(coeff_lists, coeff_lists)
+    @SETTINGS
+    def test_mul(self, a, b):
+        assert values(Poly(a) * Poly(b)) == ref_mul(a, b)
+
+    def test_mul_at_digit_bound(self):
+        # constant operands: the middle coefficients of the product reach
+        # min(len) * max|a| * max|b|, the bound the packed digit must hold
+        for v in (1, 11, 15, 16, 127, 128, 181, 255, 256, 46340, 2**16 - 1, 2**32 - 1, 2**256 + 1):
+            for n in range(2, 6):
+                for m in range(2, 6):
+                    for sign in (1, -1):
+                        a = [sign * v] * n
+                        b = [v] * m
+                        assert values(Poly(a) * Poly(b)) == ref_mul(a, b), (v, n, m, sign)
+
+    @given(coeff_lists)
+    @SETTINGS
+    def test_square(self, a):
+        p = Poly(a)
+        assert values(p * p) == ref_mul(a, a)
+
+    @given(coeff_lists, coefficients)
+    @SETTINGS
+    def test_scalar_mul(self, a, c):
+        assert values(Poly(a) * c) == strip([x * c for x in a])
+
+    @given(coeff_lists, divisor_lists)
+    @SETTINGS
+    def test_divmod(self, a, b):
+        q, r = divmod(Poly(a), Poly(b))
+        assert (values(q), values(r)) == ref_divmod(a, b)
+
+    @given(coeff_lists, divisor_lists)
+    @SETTINGS
+    def test_divexact(self, a, b):
+        p, d = Poly(a), Poly(b)
+        assert (p * d).divexact(d) == p
+        if ref_divmod(a, b)[1]:
+            with pytest.raises(ValueError):
+                p.divexact(d)
+        else:
+            assert values(p.divexact(d)) == ref_divmod(a, b)[0]
+
+    @given(coeff_lists)
+    @SETTINGS
+    def test_derivative(self, a):
+        assert values(Poly(a).derivative()) == ref_derivative(a)
+
+    @given(coeff_lists, st.integers(1, 7))
+    @SETTINGS
+    def test_compose_power(self, a, n):
+        assert values(Poly(a).compose_power(n)) == ref_compose_power(strip(a), n)
+
+    @given(coeff_lists, st.integers(1, 7))
+    @SETTINGS
+    def test_multisect(self, a, n):
+        assert values(Poly(a).multisect(n)) == ref_multisect(strip(a), n)
+
+    @given(coeff_lists, st.integers(0, 7))
+    @SETTINGS
+    def test_shift(self, a, k):
+        assert values(Poly(a).shift(k)) == ref_shift(a, k)
+
+
+class TestCanonicalForm:
+    def test_equal_values_equal_fields(self):
+        p = Poly([Fraction(2, 4), Fraction(3, 3)])
+        q = Poly([Fraction(1, 2), 1])
+        assert p == q
+        assert hash(p) == hash(q)
+        assert (p.ints, p.denom) == ((1, 2), 2)
+
+    @given(coeff_lists)
+    @SETTINGS
+    def test_invariants(self, a):
+        p = Poly(a)
+        assert p.denom > 0
+        assert not p.ints or p.ints[-1]
+        assert gcd(p.denom, *p.ints) == 1
+        assert [Fraction(c, p.denom) for c in p.ints] == strip(a)
+        # the hash of the coefficient tuple, as when coefficients were Fractions
+        assert hash(p) == hash(tuple(strip(a)))
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            Poly([1, 0.5])
+        with pytest.raises(TypeError):
+            Poly([1, 2]) * 0.5
+
+    def test_inexact_divexact_rejected(self):
+        with pytest.raises(ValueError):
+            (one_minus_z(3) + Poly([0, 1])).divexact(one_minus_z(2))

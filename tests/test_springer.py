@@ -16,6 +16,7 @@ from poincare_series.counting import DegreeVector, build_factored_gf, dimension
 from poincare_series.springer import (
     PFD,
     _evaluate_at_pole,
+    _t_derivative,
     partial_fractions,
     phi,
     phi_factored,
@@ -102,6 +103,11 @@ class TestPartialFractions:
     def test_residual_pole_is_hard_failure(self):
         with pytest.raises(RuntimeError):
             _evaluate_at_pole({((2, 1),): (1, 0)}, 2, 0)
+
+    def test_inconsistent_z_power_is_hard_failure(self):
+        # both keys differentiate into ((1, 2), (2, 2)), with z-powers 1 and 7
+        with pytest.raises(RuntimeError):
+            _t_derivative({((1, 1), (2, 2)): (1, 0), ((1, 2), (2, 1)): (1, 5)})
 
 
 class TestPhi:
