@@ -12,15 +12,12 @@ from .algebra import (
     FactoredRatFun,
     Poly,
     RatFun,
-    Rational,
     cross_equal,
-    expand,
-    normalize,
     pochhammer,
     q_block,
     q_shifted_factorial,
 )
-from .closedform import ClosedFormRequest, all_ones, all_twos
+from .closedform import all_ones, all_twos
 from .counting import (
     DegreeVector,
     MultiplicityTable,
@@ -33,9 +30,9 @@ from .counting import (
 from .springer import (
     PFD,
     partial_fractions,
-    phi,
+    phi_factored,
     poincare_series,
-    psi_term,
+    psi_term_factored,
     single_form_series,
 )
 
@@ -45,14 +42,10 @@ __all__ = [
     "FactoredRatFun",
     "Poly",
     "RatFun",
-    "Rational",
     "cross_equal",
-    "expand",
-    "normalize",
     "pochhammer",
     "q_block",
     "q_shifted_factorial",
-    "ClosedFormRequest",
     "all_ones",
     "all_twos",
     "DegreeVector",
@@ -64,9 +57,9 @@ __all__ = [
     "omega",
     "PFD",
     "partial_fractions",
-    "phi",
+    "phi_factored",
     "poincare_series",
-    "psi_term",
+    "psi_term_factored",
     "single_form_series",
     "__version__",
 ]

@@ -16,8 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Rational = Fraction
-
 
 def _coeff(value) -> Fraction:
     # exact input only; a float here is always a caller bug
@@ -147,12 +145,6 @@ class Poly:
             return Fraction(self.ints[exponent], self.denom)
         return Fraction(0)
 
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.ints):
-            acc = acc * x + c
-        return acc / self.denom
-
     def __neg__(self):
         return Poly._from_ints([-c for c in self.ints], self.denom)
 
@@ -259,9 +251,6 @@ class Poly:
             Poly._from_ints([c * other.denom for c in quot], scale * content * self.denom),
             Poly._from_ints(rem[:dv], scale * self.denom),
         )
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -389,17 +378,14 @@ def cross_equal(num1: Poly, den1: Poly, num2: Poly, den2: Poly) -> bool:
 class RatFun:
     """Reduced rational function num/den, den monic and gcd(num, den) = 1.
 
-    The constructor always canonicalizes, so structural equality of two
-    RatFun instances is value equality.
+    The result value every route returns. The constructor always
+    canonicalizes, so structural equality of two RatFun instances is value
+    equality; the sum, product and derivative exist to check results.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=ONE):
-        if not isinstance(num, Poly):
-            num = Poly([num])
-        if not isinstance(den, Poly):
-            den = Poly([den])
+    def __init__(self, num: Poly, den: Poly = ONE):
         if den.is_zero():
             raise ZeroDivisionError("division by zero")
         if num.is_zero():
@@ -413,19 +399,10 @@ class RatFun:
             num, den = num * (1 / lead), den.monic()
         self.num, self.den = num, den
 
-    @classmethod
-    def from_value(cls, value) -> "RatFun":
-        return cls(Poly([value]))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __bool__(self):
-        return bool(self.num)
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = RatFun(other if isinstance(other, Poly) else Poly([other]))
         if not isinstance(other, RatFun):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -436,60 +413,15 @@ class RatFun:
     def __repr__(self):
         return f"RatFun({self.num.to_string()!r}, {self.den.to_string()!r})"
 
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
-    def _coerce(self, other):
-        if isinstance(other, RatFun):
-            return other
-        if isinstance(other, Poly):
-            return RatFun(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFun(Poly([other]))
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RatFun):
             return NotImplemented
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RatFun):
             return NotImplemented
         return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RatFun(Poly([other])) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("division by zero")
-            return RatFun(self.den, self.num) ** (-n)
-        return RatFun(self.num ** n, self.den ** n)
 
     def derivative(self, order: int = 1) -> "RatFun":
         """Exact derivative d/dz, repeated ``order`` times."""
@@ -518,21 +450,6 @@ class RatFun:
                 acc -= dcs[j] * out[m - j]
             out.append(acc / d0)
         return out
-
-    def __call__(self, x):
-        dv = self.den(x)
-        if not dv:
-            raise ZeroDivisionError("pole of the rational function")
-        return self.num(x) / dv
-
-
-def normalize(num: Poly, den: Poly) -> RatFun:
-    """Canonical reduced form of num/den (monic denominator, GCD removed)."""
-    return RatFun(num, den)
-
-
-def expand(f: RatFun, n: int) -> list:
-    return f.expand(n)
 
 
 class FactoredRatFun:
@@ -584,9 +501,6 @@ class FactoredRatFun:
         # every (1 - z^a) equals 1 at the origin
         return self.scale * self.num[0]
 
-    def __neg__(self):
-        return FactoredRatFun(self.num, self.factors, -self.scale)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _coeff(other)
@@ -621,9 +535,6 @@ class FactoredRatFun:
             if gap:
                 n2 = n2 * one_minus_z(a) ** gap
         return FactoredRatFun(n1 + n2, common)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def derivative(self) -> "FactoredRatFun":
         """d/dz without leaving the factored representation.
@@ -679,8 +590,3 @@ class FactoredRatFun:
     def to_ratfun(self) -> RatFun:
         slim = self.reduced()
         return RatFun(slim.num * slim.scale, slim.den_poly())
-
-    def same_value(self, other) -> bool:
-        if isinstance(other, FactoredRatFun):
-            other = other.to_ratfun()
-        return self.to_ratfun() == other

@@ -17,10 +17,10 @@ import json
 import sys
 from math import gcd, lcm
 
-from .algebra import ONE, Poly, RatFun, one_minus_z
+from .algebra import Poly, RatFun, one_minus_z
 from .closedform import applicable as closedform_applicable
 from .closedform import for_degree_vector as closedform_series
-from .counting import DegreeVector, dimension
+from .counting import KINDS, DegreeVector, degree_multisets, dimension
 from .golden import CorpusError, check_corpus, shipped_corpus_path
 from .springer import poincare_series, single_form_series
 
@@ -32,6 +32,19 @@ DEFAULT_TRUNCATE = 10
 # covariants and the derivation kernel are the semi-invariant algebra
 def canonical_kind(kind: str) -> str:
     return "invariants" if kind == "invariants" else "semiinvariants"
+
+
+# the exact routes checked against the operator route, after counting and
+# in this order: name -> (applies to d, series for d and a canonical kind)
+ROUTES = {
+    "closedform": (closedform_applicable, closedform_series),
+    "single-form": (
+        lambda d: d.size == 1,
+        lambda d, kind: single_form_series(
+            d.d_star, "invariants" if kind == "invariants" else "covariants"
+        ),
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,11 +199,9 @@ def _method_all_checks(d: DegreeVector, kind: str, f: RatFun, truncate) -> dict:
     checks = {
         "counting": series == [dimension(d, m, kind) for m in range(horizon + 1)]
     }
-    if closedform_applicable(d):
-        checks["closedform"] = closedform_series(d, kind) == f
-    if d.size == 1:
-        single_kind = "invariants" if kind == "invariants" else "covariants"
-        checks["single-form"] = single_form_series(d.d_star, single_kind) == f
+    for name, (applies, route) in ROUTES.items():
+        if applies(d):
+            checks[name] = route(d, kind) == f
     return checks
 
 
@@ -201,9 +212,10 @@ def run_compute(args) -> int:
         print(_run_counting(d, args))
         return 0
     if args.method == "closedform":
-        if not closedform_applicable(d):
+        applies, route = ROUTES["closedform"]
+        if not applies(d):
             raise UsageError("method=closedform covers all-ones and all-twos systems only")
-        print(_emit_result(d, args, closedform_series(d, kind)))
+        print(_emit_result(d, args, route(d, kind)))
         return 0
     f = poincare_series(d, kind)
     if args.method == "springer":
@@ -223,25 +235,10 @@ def run_golden_check(path: str | None) -> int:
     try:
         with open(corpus_path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read corpus: {exc}") from None
     failures = check_corpus(text)
     return 2 if failures else 0
-
-
-def degree_multisets(max_total: int, max_deg: int):
-    """All descending degree tuples with sum of (d_k + 1) bounded by max_total."""
-    out = []
-
-    def rec(prefix, budget, ceiling):
-        for d in range(min(ceiling, max_deg), 0, -1):
-            if d + 1 <= budget:
-                cur = prefix + (d,)
-                out.append(cur)
-                rec(cur, budget - d - 1, d)
-
-    rec((), max_total, max_deg)
-    return sorted(out, key=lambda t: (len(t), t))
 
 
 def run_crosscheck(max_n: int, max_deg: int, max_m: int, emit=print) -> int:
@@ -251,20 +248,18 @@ def run_crosscheck(max_n: int, max_deg: int, max_m: int, emit=print) -> int:
     for degs in systems:
         d = DegreeVector(degs)
         problems = []
-        for kind in ("invariants", "semiinvariants"):
+        for kind in KINDS:
             series = poincare_series(d, kind).expand(max_m)
             routes = {"counting": [dimension(d, m, kind) for m in range(max_m + 1)]}
-            if closedform_applicable(d):
-                routes["closedform"] = closedform_series(d, kind).expand(max_m)
-            if d.size == 1:
-                single_kind = "invariants" if kind == "invariants" else "covariants"
-                routes["single-form"] = single_form_series(d.d_star, single_kind).expand(max_m)
-            for route, values in routes.items():
+            for name, (applies, route) in ROUTES.items():
+                if applies(d):
+                    routes[name] = route(d, kind).expand(max_m)
+            for name, values in routes.items():
                 mismatch = next(
                     (m for m in range(max_m + 1) if series[m] != values[m]), None
                 )
                 if mismatch is not None:
-                    problems.append(f"{route} kind={kind} m={mismatch}")
+                    problems.append(f"{name} kind={kind} m={mismatch}")
         label = ",".join(map(str, degs))
         if problems:
             failures += 1
@@ -317,6 +312,8 @@ def main(argv=None) -> int:
             return run_compute(args)
         if args.command == "golden-check":
             return run_golden_check(args.path)
+        if args.max_m < 0:
+            raise UsageError("--max-m must be nonnegative")
         return run_crosscheck(args.max_n, args.max_deg, args.max_m)
     except (UsageError, CorpusError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

@@ -7,7 +7,6 @@ these evaluate much faster than the general pipeline and cross-check it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -75,29 +74,6 @@ def all_twos(n: int, kind: str) -> RatFun:
     return total.to_ratfun()
 
 
-@dataclass(frozen=True)
-class ClosedFormRequest:
-    """A degree system the closed formulas cover: n copies of degree 1 or 2."""
-
-    n: int
-    degree: int
-    kind: str
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need n >= 1 forms")
-        if self.degree not in (1, 2):
-            raise ValueError("closed forms exist for degrees 1 and 2 only")
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
-
-
-def evaluate(request: ClosedFormRequest) -> RatFun:
-    if request.degree == 1:
-        return all_ones(request.n, request.kind)
-    return all_twos(request.n, request.kind)
-
-
 def applicable(d) -> bool:
     d = as_degree_vector(d)
     return d.d_star in (1, 2) and d.degrees[-1] == d.d_star
@@ -108,4 +84,6 @@ def for_degree_vector(d, kind: str) -> RatFun:
     d = as_degree_vector(d)
     if not applicable(d):
         raise ValueError("closed forms cover all-ones and all-twos systems only")
-    return evaluate(ClosedFormRequest(d.size, d.d_star, kind))
+    if d.d_star == 1:
+        return all_ones(d.size, kind)
+    return all_twos(d.size, kind)

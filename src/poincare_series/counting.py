@@ -17,9 +17,9 @@ from math import comb
 
 KINDS = ("invariants", "semiinvariants")
 
-# exponent -> multiplicity map of the shifted generating function
-# prod over e of (1 - t z^e)^(-beta_e)
-FactorExponents = dict
+# one row per (degrees, m): well above the few hundred that a CLI session
+# or the default crosscheck sweep fills, yet bounded
+_ROW_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,23 @@ def as_degree_vector(d) -> DegreeVector:
     return DegreeVector(tuple(d))
 
 
-def build_factored_gf(d) -> FactorExponents:
-    """Exponent multiplicities of the weight-shifted generating function.
+def degree_multisets(max_total: int, max_deg: int):
+    """All descending degree tuples with sum of (d_k + 1) bounded by max_total."""
+    out = []
+
+    def rec(prefix, budget, ceiling):
+        for d in range(min(ceiling, max_deg), 0, -1):
+            if d + 1 <= budget:
+                cur = prefix + (d,)
+                out.append(cur)
+                rec(cur, budget - d - 1, d)
+
+    rec((), max_total, max_deg)
+    return sorted(out, key=lambda t: (len(t), t))
+
+
+def build_factored_gf(d) -> dict:
+    """Exponent multiplicities beta_e of prod over e of (1 - t z^e)^(-beta_e).
 
     Shifting t -> t z^(d*) turns the weight w into the nonnegative
     exponent d* - w, so the result maps e in 0..2d* to the number of
@@ -85,7 +100,7 @@ def build_factored_gf(d) -> FactorExponents:
     return beta
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
 def _omega_row(degrees: tuple, m: int) -> tuple:
     """Counts of degree-m monomials for every reachable weight.
 

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .algebra import ONE, Poly, cross_equal, one_minus_z
+from .algebra import ONE, FactoredRatFun, Poly, cross_equal
 from .counting import KINDS, DegreeVector
 from .springer import poincare_series
 
@@ -37,15 +37,6 @@ class GoldenRecord:
     den_factors: tuple
     sign_insensitive: bool
     line_no: int
-
-    def num_poly(self) -> Poly:
-        return Poly(self.num)
-
-    def den_poly(self) -> Poly:
-        out = ONE
-        for a, e in self.den_factors:
-            out = out * one_minus_z(a) ** e
-        return out
 
     def label(self) -> str:
         return f"d={','.join(map(str, self.degrees))} kind={self.kind}"
@@ -108,7 +99,8 @@ def shipped_corpus_path() -> str:
 def check_record(record: GoldenRecord):
     """Return (ok, computed) for one record, comparing by cross-multiplication."""
     f = poincare_series(record.degrees, record.kind)
-    num, den = record.num_poly(), record.den_poly()
+    num = Poly(record.num)
+    den = FactoredRatFun(ONE, record.den_factors).den_poly()
     ok = cross_equal(f.num, f.den, num, den)
     if not ok and record.sign_insensitive:
         ok = cross_equal(f.num, f.den, -num, den)

@@ -171,14 +171,13 @@ def phi_factored(f: FactoredRatFun, n: int) -> FactoredRatFun:
     return FactoredRatFun(num.multisect(n), f.factors, f.scale)
 
 
-def phi(f: FactoredRatFun, n: int) -> RatFun:
-    """Power-series multisection phi_n, reduced to canonical form."""
-    if not isinstance(f, FactoredRatFun):
-        raise TypeError("factored form required")
-    return phi_factored(f, n).to_ratfun()
-
-
 def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> FactoredRatFun:
+    """Diagonal of R(z)/(1 - t z^i)^k under t^j z^(j n) extraction.
+
+    The three branches (i below, at, above the shift n) follow the
+    double-series expansion: the t^j coefficient is
+    C(j+k-1, k-1) z^(i j) R(z), so above the shift only j = 0 survives.
+    """
     if k < 1:
         raise ValueError("pole power must be >= 1")
     if n < 1:
@@ -196,22 +195,14 @@ def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> Factored
     return FactoredRatFun(Poly([r_fun.value_at_zero()]))
 
 
-def psi_term(i: int, k: int, r_fun: FactoredRatFun, n: int) -> RatFun:
-    """Diagonal of R(z)/(1 - t z^i)^k under t^j z^(j n) extraction.
-
-    The three branches (i below, at, above the shift n) follow the
-    double-series expansion: the t^j coefficient is
-    C(j+k-1, k-1) z^(i j) R(z), so above the shift only j = 0 survives.
-    """
-    if not isinstance(r_fun, FactoredRatFun):
-        raise TypeError("factored form required")
-    return psi_term_factored(i, k, r_fun, n).to_ratfun()
-
-
 _PREFACTOR = {"semiinvariants": Poly([1, 1]), "invariants": Poly([1, 0, -1])}
 
+# one entry per (degrees, kind): well above the few dozen that a CLI
+# session or the default crosscheck sweep fills, yet bounded
+_CACHE_SIZE = 256
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _poincare_cached(degrees: tuple, kind: str) -> RatFun:
     d = as_degree_vector(degrees)
     pfd = partial_fractions(build_factored_gf(d))
@@ -246,7 +237,7 @@ def single_form_series(d: int, kind: str) -> RatFun:
         raise ValueError("form degree must be >= 1")
     if kind not in ("invariants", "covariants"):
         raise ValueError("kind must be 'invariants' or 'covariants'")
-    prefactor = Poly([1, 1]) if kind == "covariants" else Poly([1, 0, -1])
+    prefactor = _PREFACTOR["semiinvariants" if kind == "covariants" else kind]
     total = FactoredRatFun(ZERO)
     for k in range((d + 1) // 2):
         factors = q_shifted_factorial(2, 2, k)

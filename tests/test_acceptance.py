@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from math import comb
 
 from poincare_series.algebra import ONE, Poly, RatFun, one_minus_z
-from poincare_series.cli import degree_multisets
+from poincare_series.counting import degree_multisets
 from poincare_series.closedform import all_ones, all_twos
 from poincare_series.counting import (
     DegreeVector,

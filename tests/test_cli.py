@@ -9,13 +9,8 @@ from pathlib import Path
 import pytest
 
 from poincare_series.algebra import ONE, Poly, RatFun, one_minus_z
-from poincare_series.cli import (
-    degree_multisets,
-    format_factored,
-    format_reduced,
-    greedy_factor,
-    main,
-)
+from poincare_series.cli import format_factored, format_reduced, greedy_factor, main
+from poincare_series.counting import degree_multisets
 from poincare_series.springer import poincare_series
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -161,6 +156,20 @@ class TestUsageErrors:
         assert rc == 1
         assert "cannot read corpus" in err
 
+    def test_golden_check_non_utf8_file(self, tmp_path, capsys):
+        p = tmp_path / "binary.txt"
+        p.write_bytes(b"\xff")
+        rc, _, err = run(capsys, "golden-check", str(p))
+        assert rc == 1
+        assert "cannot read corpus" in err
+        assert len(err.splitlines()) == 1
+
+    def test_negative_max_m_rejected(self, capsys):
+        rc, out, err = run(capsys, "crosscheck", "--max-m", "-1")
+        assert rc == 1
+        assert out == ""
+        assert "--max-m must be nonnegative" in err
+
 
 class TestGoldenCheckCommand:
     def test_shipped_corpus_passes(self, capsys):
@@ -237,6 +246,13 @@ class TestFormattingHelpers:
         assert format_reduced(f) == "num = 1\nden = 2 -2"
 
 
+def checkout_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def console_script(name):
     """Command and environment that run the console script ``name``.
 
@@ -251,9 +267,7 @@ def console_script(name):
     scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
     target = re.search(rf'^{re.escape(name)}\s*=\s*"([\w.]+):(\w+)"', scripts, re.M)
     module, func = target.groups()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return [sys.executable, "-c", f"from {module} import {func}; {func}()"], env
+    return [sys.executable, "-c", f"from {module} import {func}; {func}()"], checkout_env()
 
 
 class TestInstalledScript:
@@ -272,6 +286,7 @@ class TestInstalledScript:
             [sys.executable, "-m", "poincare_series", "--d", "2", "--format", "series"],
             capture_output=True,
             text=True,
+            env=checkout_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().split() == ["1", "1", "2", "2", "3", "3", "4", "4", "5", "5", "6"]

@@ -1,14 +1,7 @@
 import pytest
 
 from poincare_series.algebra import ONE, Poly, RatFun, one_minus_z
-from poincare_series.closedform import (
-    ClosedFormRequest,
-    all_ones,
-    all_twos,
-    applicable,
-    evaluate,
-    for_degree_vector,
-)
+from poincare_series.closedform import all_ones, all_twos, applicable, for_degree_vector
 from poincare_series.counting import DegreeVector
 from poincare_series.springer import poincare_series
 
@@ -68,17 +61,15 @@ class TestAllTwos:
 class TestRequestApi:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ClosedFormRequest(0, 1, "invariants")
+            all_ones(0, "invariants")
         with pytest.raises(ValueError):
-            ClosedFormRequest(2, 3, "invariants")
+            for_degree_vector((3, 3), "invariants")
         with pytest.raises(ValueError):
-            ClosedFormRequest(2, 1, "covariants")
+            all_ones(2, "covariants")
 
     def test_evaluate_routes(self):
-        assert evaluate(ClosedFormRequest(3, 1, "semiinvariants")) == all_ones(
-            3, "semiinvariants"
-        )
-        assert evaluate(ClosedFormRequest(2, 2, "invariants")) == all_twos(2, "invariants")
+        assert for_degree_vector((1, 1, 1), "semiinvariants") == all_ones(3, "semiinvariants")
+        assert for_degree_vector((2, 2), "invariants") == all_twos(2, "invariants")
 
     def test_applicable(self):
         assert applicable(DegreeVector((1, 1, 1)))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from poincare_series.counting import (
     DegreeVector,
+    _omega_row,
     as_degree_vector,
     build_factored_gf,
     dimension,
@@ -51,6 +52,17 @@ class TestDegreeVector:
     @settings(deadline=None, max_examples=40)
     def test_order_irrelevant(self, degs):
         assert DegreeVector(degs) == DegreeVector(tuple(reversed(degs)))
+
+
+class TestRowCache:
+    def test_cache_is_bounded_and_hit(self):
+        info = _omega_row.cache_info()
+        # bounded, yet above the 460 rows one benchmark CLI session fills
+        assert info.maxsize is not None and info.maxsize >= 460
+        first = omega((1, 2), 3, 1)
+        hits = _omega_row.cache_info().hits
+        assert omega((2, 1), 3, 1) == first
+        assert _omega_row.cache_info().hits == hits + 1
 
 
 class TestFactorExponents:

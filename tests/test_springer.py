@@ -16,12 +16,11 @@ from poincare_series.counting import DegreeVector, build_factored_gf, dimension
 from poincare_series.springer import (
     PFD,
     _evaluate_at_pole,
+    _poincare_cached,
     _t_derivative,
     partial_fractions,
-    phi,
     phi_factored,
     poincare_series,
-    psi_term,
     psi_term_factored,
     single_form_series,
 )
@@ -117,7 +116,7 @@ class TestPhi:
 
     def test_geometric(self):
         f = FactoredRatFun(ONE, {1: 1})
-        assert phi(f, 2) == assemble([1], [(1, 1)])
+        assert phi_factored(f, 2).to_ratfun() == assemble([1], [(1, 1)])
 
     def test_keeps_factor_multiset(self):
         f = FactoredRatFun(Poly([1, 1, 1, 1]), {2: 2, 3: 1})
@@ -131,13 +130,11 @@ class TestPhi:
             coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
             f = Poly(coeffs)
             even = FactoredRatFun(f.compose_power(2))
-            assert phi(even, 2) == RatFun(f)
+            assert phi_factored(even, 2).to_ratfun() == RatFun(f)
             odd = FactoredRatFun(f.compose_power(2).shift(1))
-            assert phi(odd, 2) == RatFun(Poly([]))
+            assert phi_factored(odd, 2).to_ratfun() == RatFun(Poly([]))
 
-    def test_requires_factored_form(self):
-        with pytest.raises(TypeError):
-            phi(RatFun(ONE, one_minus_z(1)), 2)
+    def test_rejects_index_zero(self):
         with pytest.raises(ValueError):
             phi_factored(FactoredRatFun(ONE), 0)
 
@@ -158,7 +155,7 @@ class TestPhi:
             Poly([1, 4, 14, 21, 33, 42, 42, 34, 29, 14, 7, 2]),
             [(5, 1), (1, 3), (4, 2), (2, 2)],
         )
-        assert phi(a01 * ONE_PLUS_Z, 3) == shown
+        assert phi_factored(a01 * ONE_PLUS_Z, 3).to_ratfun() == shown
 
     def test_worked_multisection_second(self):
         pfd = partial_fractions(build_factored_gf((1, 2, 3)))
@@ -167,33 +164,31 @@ class TestPhi:
             Poly([0, -1]) * Poly([4, 6, 13, 12, 13, 9, 6, 1]),
             [(2, 1), (5, 1), (3, 2), (1, 4)],
         )
-        assert phi(a11 * ONE_PLUS_Z, 2) == shown
+        assert phi_factored(a11 * ONE_PLUS_Z, 2).to_ratfun() == shown
 
 
 class TestPsiTerm:
     def test_below_shift_plain(self):
         r = FactoredRatFun(ONE_PLUS_Z, {2: 1})
-        assert psi_term(0, 1, r, 1) == assemble([1], [(1, 1)])
+        assert psi_term_factored(0, 1, r, 1).to_ratfun() == assemble([1], [(1, 1)])
 
     def test_at_shift(self):
         r = FactoredRatFun(Poly([5, 7]), {3: 2})
-        f = psi_term(2, 3, r, 2)
+        f = psi_term_factored(2, 3, r, 2).to_ratfun()
         assert f == assemble([5], [(1, 3)])
 
     def test_above_shift(self):
         r = FactoredRatFun(Poly([5, 7]), {3: 2})
-        assert psi_term(4, 2, r, 2) == RatFun(Poly([5]))
+        assert psi_term_factored(4, 2, r, 2).to_ratfun() == RatFun(Poly([5]))
         zero_at_origin = FactoredRatFun(Poly([0, 1]), {2: 1})
-        assert psi_term(4, 2, zero_at_origin, 2).is_zero()
+        assert psi_term_factored(4, 2, zero_at_origin, 2).to_ratfun().is_zero()
 
     def test_branch_validation(self):
         r = FactoredRatFun(ONE)
         with pytest.raises(ValueError):
-            psi_term(0, 0, r, 1)
+            psi_term_factored(0, 0, r, 1)
         with pytest.raises(ValueError):
-            psi_term(0, 1, r, 0)
-        with pytest.raises(TypeError):
-            psi_term(0, 1, RatFun(ONE), 1)
+            psi_term_factored(0, 1, r, 0)
 
     def test_all_branches_against_diagonal(self):
         rng = random.Random(17)
@@ -211,7 +206,7 @@ class TestPsiTerm:
     def test_derivative_branch_explicit(self):
         # i < n with k = 2: 1/(1)! d/dz [z phi_{n-i}(R)]
         r = FactoredRatFun(ONE, {1: 1})
-        f = psi_term(0, 2, r, 2)
+        f = psi_term_factored(0, 2, r, 2).to_ratfun()
         inner = phi_factored(r, 2) * Poly.monomial(1)
         assert f == inner.derivative().to_ratfun()
 
@@ -243,6 +238,15 @@ class TestPoincareSeries:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             poincare_series((1,), "covariants")
+
+    def test_cache_is_bounded_and_hit(self):
+        info = _poincare_cached.cache_info()
+        # bounded, yet above the 50 series one benchmark CLI session fills
+        assert info.maxsize is not None and info.maxsize >= 50
+        first = poincare_series((2, 1), "invariants")
+        hits = _poincare_cached.cache_info().hits
+        assert poincare_series((1, 2), "invariants") is first
+        assert _poincare_cached.cache_info().hits == hits + 1
 
     def test_counting_agreement_sample(self):
         for degs in [(3,), (2, 2), (4, 1)]:
