@@ -20,7 +20,7 @@ from math import gcd, lcm
 from .algebra import Poly, RatFun, one_minus_z
 from .closedform import applicable as closedform_applicable
 from .closedform import for_degree_vector as closedform_series
-from .counting import KINDS, DegreeVector, degree_multisets, dimension
+from .counting import KINDS, DegreeVector, degree_multisets, dimensions
 from .golden import CorpusError, check_corpus, shipped_corpus_path
 from .springer import poincare_series, single_form_series
 
@@ -185,7 +185,7 @@ def _run_counting(d: DegreeVector, args) -> str:
         raise UsageError("method=counting produces series output only; use --format series or json")
     truncate = args.truncate if args.truncate is not None else DEFAULT_TRUNCATE
     kind = canonical_kind(args.kind)
-    dims = [dimension(d, m, kind) for m in range(truncate + 1)]
+    dims = dimensions(d, truncate, kind)
     if args.format == "series":
         return _ints_text(dims)
     return json.dumps(
@@ -196,9 +196,7 @@ def _run_counting(d: DegreeVector, args) -> str:
 def _method_all_checks(d: DegreeVector, kind: str, f: RatFun, truncate) -> dict:
     horizon = truncate if truncate is not None else DEFAULT_TRUNCATE
     series = f.expand(horizon)
-    checks = {
-        "counting": series == [dimension(d, m, kind) for m in range(horizon + 1)]
-    }
+    checks = {"counting": series == dimensions(d, horizon, kind)}
     for name, (applies, route) in ROUTES.items():
         if applies(d):
             checks[name] = route(d, kind) == f
@@ -242,15 +240,20 @@ def run_golden_check(path: str | None) -> int:
 
 
 def run_crosscheck(max_n: int, max_deg: int, max_m: int, emit=print) -> int:
-    """Compare the independent routes on every small system; 0 iff all agree."""
+    """Compare the independent routes on every small system; 0 iff all agree.
+
+    A sweep with no system is a usage error, not a pass.
+    """
     systems = degree_multisets(max_n, max_deg)
+    if not systems:
+        raise UsageError(f"no degree system has sum(d_k + 1) <= {max_n} and d_k <= {max_deg}")
     failures = 0
     for degs in systems:
         d = DegreeVector(degs)
         problems = []
         for kind in KINDS:
             series = poincare_series(d, kind).expand(max_m)
-            routes = {"counting": [dimension(d, m, kind) for m in range(max_m + 1)]}
+            routes = {"counting": dimensions(d, max_m, kind)}
             for name, (applies, route) in ROUTES.items():
                 if applies(d):
                     routes[name] = route(d, kind).expand(max_m)

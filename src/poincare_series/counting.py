@@ -100,14 +100,13 @@ def build_factored_gf(d) -> dict:
     return beta
 
 
-@lru_cache(maxsize=_ROW_CACHE_SIZE)
-def _omega_row(degrees: tuple, m: int) -> tuple:
-    """Counts of degree-m monomials for every reachable weight.
+def _omega_table(degrees: tuple, m: int) -> tuple:
+    """Counts of degree-k monomials for every k = 0..m and every reachable weight.
 
-    Returns (offset, counts) with counts[w + offset] the number of
-    monomials of total weight w. Classic unbounded-knapsack dynamic
-    program: each variable adds (degree 1, its weight) any number of
-    times.
+    Returns (offset, rows) with rows[k][w + offset] the number of
+    monomials of degree k and total weight w. Classic unbounded-knapsack
+    dynamic program: each variable adds (degree 1, its weight) any number
+    of times.
     """
     d = DegreeVector(degrees)
     span = m * d.d_star
@@ -124,6 +123,13 @@ def _omega_row(degrees: tuple, m: int) -> tuple:
                 c = prev[idx - w]
                 if c:
                     cur[idx] += c
+    return span, table
+
+
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _omega_row(degrees: tuple, m: int) -> tuple:
+    """Row m of ``_omega_table``, as (offset, counts) with counts a tuple."""
+    span, table = _omega_table(degrees, m)
     return span, tuple(table[m])
 
 
@@ -153,13 +159,29 @@ def gamma(d, m: int, k: int) -> int:
     return value
 
 
+def _dimension_of_row(span: int, row, kind: str) -> int:
+    # invariants: omega(0) - omega(2); semi-invariants: omega(0) + omega(1)
+    step, sign = (2, -1) if kind == "invariants" else (1, 1)
+    return row[span] + sign * (row[span + step] if span + step < len(row) else 0)
+
+
 def dimension(d, m: int, kind: str) -> int:
     """Graded dimension in degree m: invariant or semi-invariant count."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    if kind == "invariants":
-        return omega(d, m, 0) - omega(d, m, 2)
-    return omega(d, m, 0) + omega(d, m, 1)
+    if m < 0:
+        raise ValueError("degree must be nonnegative")
+    return _dimension_of_row(*_omega_row(as_degree_vector(d).degrees, m), kind)
+
+
+def dimensions(d, horizon: int, kind: str) -> list:
+    """[dimension(d, m, kind) for m in 0..horizon], read off one DP table."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    span, table = _omega_table(as_degree_vector(d).degrees, horizon)
+    return [_dimension_of_row(span, row, kind) for row in table]
 
 
 @dataclass(frozen=True)

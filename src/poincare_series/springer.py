@@ -1,10 +1,11 @@
 """Springer-type operator calculus for Poincare series.
 
 Pipeline: decompose the weight-shifted generating function
-prod_e (1 - t z^e)^(-beta_e) into partial fractions over t, then apply
-the diagonal operator term by term. Each term A_{i,k}/(1 - t z^i)^k
-contributes, depending on how the pole exponent i compares with the
-shift n = d*:
+prod_e (1 - t z^e)^(-beta_e) into partial fractions over t, reading the
+coefficients at each pole t = z^(-i) off one binomial series in
+u = 1 - t z^i (see ``partial_fractions``), then apply the diagonal
+operator term by term. Each term A_{i,k}/(1 - t z^i)^k contributes,
+depending on how the pole exponent i compares with the shift n = d*:
 
     i < n   ->  1/(k-1)! * (d/dz)^(k-1) [ z^(k-1) * phi_{n-i}(R) ]
     i = n   ->  R(0) / (1 - z)^k
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, prod
 
 from .algebra import (
     ONE,
@@ -47,109 +48,68 @@ class PFD:
 
     terms holds (i, k, A) for every pole exponent i and every power
     k = 1..beta_i, ordered by (i, k); A is the coefficient of
-    1/(1 - t z^i)^k, kept in factored form. Zero coefficients are kept so
-    the term list shape depends only on the exponent map.
+    1/(1 - t z^i)^k, kept in factored form with an integer numerator and
+    scale 1. Zero coefficients are kept so the term list shape depends
+    only on the exponent map.
     """
 
     d_star: int
     terms: tuple
 
 
-def _initial_product(exponents: dict, skip: int) -> dict:
-    """The factored function prod_{e != skip} (1 - t z^e)^(-beta_e).
-
-    Represented as {key: (coefficient, z_power)} where key is the sorted
-    tuple of (e, multiplicity) pairs. Differentiation in t keeps this
-    class closed, which is what makes the pole evaluation exact.
-    """
-    key = tuple(sorted((e, mlt) for e, mlt in exponents.items() if e != skip))
-    return {key: (1, 0)}
-
-
-def _t_derivative(dfp: dict) -> dict:
-    # d/dt (1 - t z^e)^(-m) = m z^e (1 - t z^e)^(-m-1)
-    out: dict = {}
-    for key, (c, p) in dfp.items():
-        for idx, (e, mlt) in enumerate(key):
-            new_key = key[:idx] + ((e, mlt + 1),) + key[idx + 1 :]
-            coeff = c * mlt
-            zp = p + e
-            prev = out.get(new_key)
-            if prev is None:
-                out[new_key] = (coeff, zp)
-            else:
-                # the z-power is a function of the key alone
-                if prev[1] != zp:
-                    raise RuntimeError("inconsistent z-power in partial fraction derivative")
-                out[new_key] = (prev[0] + coeff, zp)
-    return out
-
-
-def _evaluate_at_pole(dfp: dict, i: int, order: int) -> FactoredRatFun:
-    """(-1)^order/(order! z^(i*order)) * (d/dt)^order [product] at t = z^(-i).
-
-    Each surviving factor (1 - t z^e)^(-m) becomes (1 - z^(e-i))^(-m);
-    for e < i that is rewritten as (-1)^m z^(m(i-e)) (1 - z^(i-e))^(-m) so
-    only positive factor exponents remain. Individual terms may carry
-    negative powers of z, but the sum never does; a leftover negative
-    power means the decomposition went wrong and is raised.
-    """
-    pieces = []
-    common: dict[int, int] = {}
-    for key, (c, p) in dfp.items():
-        sign = 1
-        zexp = p - i * order
-        fac: dict[int, int] = {}
-        for e, mlt in key:
-            if e == i:
-                raise RuntimeError("residual pole in partial fraction evaluation")
-            if e > i:
-                fac[e - i] = fac.get(e - i, 0) + mlt
-            else:
-                if mlt % 2:
-                    sign = -sign
-                zexp += mlt * (i - e)
-                fac[i - e] = fac.get(i - e, 0) + mlt
-        pieces.append((sign * c, zexp, fac))
-        for a, mlt in fac.items():
-            common[a] = max(common.get(a, 0), mlt)
-    # integer numerator; the (-1)^order/order! prefactor goes into the scale
-    laurent: dict[int, int] = {}
-    for coeff, zexp, fac in pieces:
-        fill = ONE
-        for a, mlt in common.items():
-            gap = mlt - fac.get(a, 0)
-            if gap:
-                fill = fill * one_minus_z(a) ** gap
-        # a product of (1 - z^a) factors: denominator 1
-        for off, cf in enumerate(fill.ints):
-            if cf:
-                laurent[zexp + off] = laurent.get(zexp + off, 0) + coeff * cf
-    if any(e < 0 and c for e, c in laurent.items()):
-        raise RuntimeError("partial fraction coefficient has a pole at z = 0")
-    top = max((e for e, c in laurent.items() if c), default=-1)
-    num = Poly([laurent.get(e, 0) for e in range(top + 1)])
-    return FactoredRatFun(num, common, Fraction((-1) ** order, factorial(order)))
-
-
 def partial_fractions(exponents: dict) -> PFD:
     """Decompose prod_e (1 - t z^e)^(-beta_e) into sum A_{i,k}/(1 - t z^i)^k.
 
-    A_{i,k} is read off at the pole t = z^(-i) from the (beta_i - k)-th
-    t-derivative of the product with the i-factor removed. All powers
-    k = 1..beta_i are emitted, including zero coefficients.
+    At the pole t = z^(-i) put u = 1 - t z^i and, for every other exponent
+    e, m = |e - i|. Each other factor is then a binomial series in u:
+
+        e > i:  (1 - t z^e)^(-beta) = (1 - z^m)^(-beta) (1 + u z^m/(1 - z^m))^(-beta)
+        e < i:  (1 - t z^e)^(-beta) = (-1)^beta z^(m beta) (1 - z^m)^(-beta)
+                                      * (1 - u/(1 - z^m))^(-beta)
+
+    and A_{i, beta_i - r} is the u^r coefficient of their product. With
+    u = v L, L the product of the distinct (1 - z^m), each series becomes
+    sum_j C(beta + j - 1, j) x_e^j v^j for the polynomial x_e = L/(1 - z^m)
+    (e < i) or -z^m L/(1 - z^m) (e > i). So A_{i, beta_i - r} is the sign
+    and z-power above times the integer polynomial [v^r] of the product,
+    over prod_m (1 - z^m)^(B_m + r), B_m the sum of beta_e at distance m.
+    Every k = 1..beta_i is emitted, zero coefficients included.
     """
     if not exponents:
         raise ValueError("empty exponent map")
     terms = []
     for i in sorted(exponents):
-        multiplicity = exponents[i]
-        dfp = _initial_product(exponents, i)
-        for r in range(multiplicity):
-            if r:
-                dfp = _t_derivative(dfp)
-            terms.append((i, multiplicity - r, _evaluate_at_pole(dfp, i, r)))
-    terms.sort(key=lambda t: (t[0], t[1]))
+        top = exponents[i] - 1
+        others = {e: beta for e, beta in exponents.items() if e != i}
+        base: dict[int, int] = {}
+        shift = flips = 0
+        for e, beta in others.items():
+            base[abs(e - i)] = base.get(abs(e - i), 0) + beta
+            if e < i:
+                shift, flips = shift + (i - e) * beta, flips + beta
+        # series[r] is the v^r coefficient; a simple pole needs only r = 0,
+        # so it builds neither L (`cover`) nor any x_e
+        series = [ONE] + [ZERO] * top
+        if top:
+            cover = prod(map(one_minus_z, base), start=ONE)
+            for e, beta in others.items():
+                x = cover.divexact(one_minus_z(abs(e - i)))
+                if e > i:
+                    x = x * Poly.monomial(e - i, -1)
+                binomial, power = [ONE], ONE
+                for j in range(1, top + 1):
+                    power = power * x
+                    binomial.append(power * comb(beta + j - 1, j))
+                # descending r, so series[r - j] is still the old coefficient;
+                # zeros (all but r = 0 before the first factor) are skipped
+                for r in range(top, 0, -1):
+                    for j in range(1, r + 1):
+                        if series[r - j]:
+                            series[r] = series[r] + series[r - j] * binomial[j]
+        lead = Poly.monomial(shift, (-1) ** flips)
+        for r in range(top, -1, -1):
+            factors = {m: b + r for m, b in base.items()}
+            terms.append((i, top + 1 - r, FactoredRatFun(lead * series[r], factors)))
     return PFD(max(exponents) // 2, tuple(terms))
 
 

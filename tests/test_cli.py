@@ -164,6 +164,16 @@ class TestUsageErrors:
         assert "cannot read corpus" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv", [("--max-n", "-1"), ("--max-n", "1"), ("--max-deg", "0")]
+    )
+    def test_empty_crosscheck_sweep_rejected(self, capsys, argv):
+        rc, out, err = run(capsys, "crosscheck", *argv)
+        assert rc == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("poincare-series: error: ")
+
     def test_negative_max_m_rejected(self, capsys):
         rc, out, err = run(capsys, "crosscheck", "--max-m", "-1")
         assert rc == 1

@@ -9,7 +9,9 @@ from poincare_series.counting import (
     _omega_row,
     as_degree_vector,
     build_factored_gf,
+    degree_multisets,
     dimension,
+    dimensions,
     gamma,
     multiplicity_table,
     omega,
@@ -150,6 +152,18 @@ class TestGammaAndDimension:
     def test_dimension_kind_validation(self):
         with pytest.raises(ValueError):
             dimension((2,), 2, "covariants")
+        with pytest.raises(ValueError):
+            dimensions((2,), 2, "covariants")
+        with pytest.raises(ValueError):
+            dimensions((2,), -1, "invariants")
+
+    def test_dimensions_read_one_table(self):
+        # horizons 0 and 1 leave no DP column for weight 1 or 2 when d* is small
+        for degs in degree_multisets(8, 4):
+            for kind in ("invariants", "semiinvariants"):
+                for horizon in (0, 1, 10):
+                    expected = [dimension(degs, m, kind) for m in range(horizon + 1)]
+                    assert dimensions(degs, horizon, kind) == expected, (degs, kind, horizon)
 
     def test_degree_zero_dimension(self):
         assert dimension((3,), 0, "invariants") == 1

@@ -15,9 +15,7 @@ from poincare_series.algebra import (
 from poincare_series.counting import DegreeVector, build_factored_gf, dimension
 from poincare_series.springer import (
     PFD,
-    _evaluate_at_pole,
     _poincare_cached,
-    _t_derivative,
     partial_fractions,
     phi_factored,
     poincare_series,
@@ -42,6 +40,22 @@ def assemble(num, factors):
 
 
 ONE_PLUS_Z = Poly([1, 1])
+
+
+def exponent_maps():
+    """Exponent maps of small systems, then maps of 1-4 exponents in 0..7.
+
+    The three fixed maps put two exponents at the same distance on both
+    sides of a pole, so that one (1 - z^m) factor collects both; the rest
+    are random, with multiplicities 1-4.
+    """
+    maps = [build_factored_gf(degs) for degs in [(1,), (2,), (1, 1), (2, 1), (1, 2, 3), (2, 2)]]
+    maps += [{1: 2, 3: 1, 5: 3}, {0: 4, 3: 2, 6: 1}, {2: 1, 4: 3, 6: 2, 7: 4}]
+    rng = random.Random(29)
+    while len(maps) < 150:
+        exps = rng.sample(range(8), rng.randint(1, 4))
+        maps.append({e: rng.randint(1, 4) for e in exps})
+    return maps
 
 
 class TestPartialFractions:
@@ -87,26 +101,29 @@ class TestPartialFractions:
         assert terms[(3, 1)].value_at_zero() == 0
 
     def test_recombination_identity(self):
-        for degs in [(1,), (2,), (1, 1), (2, 1), (1, 2, 3), (2, 2)]:
-            beta = build_factored_gf(degs)
+        for beta in exponent_maps():
             pfd = partial_fractions(beta)
             t_order, z_order = 6, 12
             assert recombined_biseries(pfd, t_order, z_order) == generating_function_biseries(
                 beta, t_order, z_order
-            ), degs
+            ), beta
+
+    def test_integer_numerators_over_distance_factors(self):
+        # A_{i,k} = integer polynomial / prod_m (1 - z^m)^(B_m + beta_i - k)
+        for beta in exponent_maps():
+            for i, k, a_ik in partial_fractions(beta).terms:
+                assert a_ik.num.denom == 1 and a_ik.scale == 1, (beta, i, k)
+                expected = {}
+                for e, b in beta.items():
+                    if e != i:
+                        expected[abs(e - i)] = expected.get(abs(e - i), 0) + b
+                for m in expected:
+                    expected[m] += beta[i] - k
+                assert a_ik.factor_dict() == expected, (beta, i, k)
 
     def test_empty_exponent_map_rejected(self):
         with pytest.raises(ValueError):
             partial_fractions({})
-
-    def test_residual_pole_is_hard_failure(self):
-        with pytest.raises(RuntimeError):
-            _evaluate_at_pole({((2, 1),): (1, 0)}, 2, 0)
-
-    def test_inconsistent_z_power_is_hard_failure(self):
-        # both keys differentiate into ((1, 2), (2, 2)), with z-powers 1 and 7
-        with pytest.raises(RuntimeError):
-            _t_derivative({((1, 1), (2, 2)): (1, 0), ((1, 2), (2, 1)): (1, 5)})
 
 
 class TestPhi:
