@@ -9,6 +9,13 @@ functions, plus a factored representation that keeps the denominator as
 a multiset of (1 - z^a) factors so that multisection, differentiation
 and cancellation can work factor by factor without ever expanding a
 large product.
+
+Results are reduced in the cyclotomic basis: prod (1 - z^a)^e is, up to
+sign, prod_n Phi_n^(c_n) with c_n = sum of e over the a divisible by n, and
+the Phi_n are irreducible and pairwise coprime, so ``to_ratfun`` cancels
+by exact division by each Phi_n and computes no gcd. ``poly_gcd``
+(Euclid over Q, inside the ``RatFun`` constructor) remains the general
+route and the tests' reference.
 """
 
 from __future__ import annotations
@@ -362,8 +369,33 @@ def q_shifted_factorial(a_exp: int, q_exp: int, n: int) -> dict:
     return factors
 
 
+def _divisors(n: int) -> list:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def cyclotomics(orders) -> dict:
+    """The cyclotomic polynomial Phi_d for every divisor d of every n in ``orders``.
+
+    Built bottom-up over divisors: Phi_n is z^n - 1 divided exactly by
+    Phi_d for each proper divisor d of n. Every Phi_n is a monic integer
+    polynomial.
+    """
+    need = sorted({d for n in orders for d in _divisors(n)})
+    phi: dict[int, Poly] = {}
+    for n in need:
+        p = Poly._from_ints([-1] + [0] * (n - 1) + [1])
+        for d in _divisors(n)[:-1]:
+            p = p.divexact(phi[d])
+        phi[n] = p
+    return phi
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic GCD by Euclid's algorithm; remainders are made monic each step."""
+    """Monic GCD by Euclid's algorithm; remainders are made monic each step.
+
+    The general route, used by the ``RatFun`` constructor and as the
+    tests' reference; ``FactoredRatFun.to_ratfun`` reduces without it.
+    """
     a, b = p, q
     while not b.is_zero():
         a, b = b, (a % b).monic()
@@ -379,8 +411,11 @@ class RatFun:
     """Reduced rational function num/den, den monic and gcd(num, den) = 1.
 
     The result value every route returns. The constructor always
-    canonicalizes, so structural equality of two RatFun instances is value
-    equality; the sum, product and derivative exist to check results.
+    canonicalizes by Euclid's gcd (``poly_gcd``), so structural equality of
+    two RatFun instances is value equality; the sum, product and derivative
+    exist to check results. The routes' results come from
+    ``FactoredRatFun.to_ratfun``, which reaches the same canonical form by
+    exact cyclotomic division and hands it to ``_from_reduced``.
     """
 
     __slots__ = ("num", "den")
@@ -398,6 +433,13 @@ class RatFun:
         if lead != 1:
             num, den = num * (1 / lead), den.monic()
         self.num, self.den = num, den
+
+    @classmethod
+    def _from_reduced(cls, num: Poly, den: Poly) -> "RatFun":
+        """RatFun of num/den as given: den monic and coprime to num, or num zero and den one."""
+        f = cls.__new__(cls)
+        f.num, f.den = num, den
+        return f
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -588,5 +630,31 @@ class FactoredRatFun:
         return FactoredRatFun(num, remaining, self.scale)
 
     def to_ratfun(self) -> RatFun:
+        """The reduced RatFun of this value, by exact division by cyclotomic polynomials.
+
+        prod (1 - z^a)^e = (-1)^(sum of e) * prod_n Phi_n^(c_n), where c_n
+        sums e over the a that n divides. The Phi_n are irreducible over Q
+        and pairwise coprime, so gcd(num, den) is prod_n Phi_n^min(v_n, c_n),
+        v_n being the multiplicity of Phi_n in num: dividing num by each
+        Phi_n while the division is exact, at most c_n times, leaves it
+        coprime to the monic rest of the denominator. No gcd is computed.
+        Whole (1 - z^a) factors are cancelled first (``reduced``), because
+        dividing by a binomial is cheaper than by its cyclotomic parts.
+        """
         slim = self.reduced()
-        return RatFun(slim.num * slim.scale, slim.den_poly())
+        counts: dict[int, int] = {}
+        for a, e in slim.factors:
+            for n in _divisors(a):
+                counts[n] = counts.get(n, 0) + e
+        phi = cyclotomics(counts)
+        num, den = slim.num, ONE
+        for n, c in counts.items():
+            while c:
+                q, r = divmod(num, phi[n])
+                if not r.is_zero():
+                    break
+                num, c = q, c - 1
+            if c:
+                den = den * phi[n] ** c
+        sign = -1 if sum(e for _, e in slim.factors) % 2 else 1
+        return RatFun._from_reduced(num * (slim.scale * sign), den)

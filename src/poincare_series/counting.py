@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import index
 
 KINDS = ("invariants", "semiinvariants")
 
@@ -24,12 +25,15 @@ _ROW_CACHE_SIZE = 4096
 
 @dataclass(frozen=True)
 class DegreeVector:
-    """Degrees of the system, stored sorted descending; entries must be >= 1."""
+    """Degrees of the system, stored sorted descending; entries must be ints >= 1.
+
+    A float or a string degree is a TypeError, not truncated or parsed.
+    """
 
     degrees: tuple
 
     def __post_init__(self):
-        degs = tuple(sorted((int(d) for d in self.degrees), reverse=True))
+        degs = tuple(sorted((index(d) for d in self.degrees), reverse=True))
         if not degs:
             raise ValueError("degree vector must be nonempty")
         if degs[-1] < 1:

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poincare_series.algebra as algebra
 from poincare_series.algebra import (
     ONE,
     ZERO,
@@ -12,6 +14,7 @@ from poincare_series.algebra import (
     Poly,
     RatFun,
     cross_equal,
+    cyclotomics,
     one_minus_z,
     pochhammer,
     poly_gcd,
@@ -276,3 +279,123 @@ class TestFactoredRatFun:
     def test_value_at_zero(self):
         f = FactoredRatFun(Poly([3, 1]), {4: 2}, Fraction(1, 3))
         assert f.value_at_zero() == 1
+
+
+class TestCyclotomics:
+    def test_divisor_product_is_z_n_minus_one(self):
+        phi = cyclotomics(range(1, 61))
+        for n in range(1, 61):
+            prod = ONE
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    prod = prod * phi[d]
+            assert prod == Poly([-1] + [0] * (n - 1) + [1]), n
+
+    def test_monic_integer_of_totient_degree(self):
+        phi = cyclotomics(range(1, 61))
+        assert sorted(phi) == list(range(1, 61))
+        for n, p in phi.items():
+            assert p.denom == 1 and p.ints[-1] == 1, n
+            assert p.degree == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1), n
+
+    def test_known_values(self):
+        phi = cyclotomics([12, 7])
+        assert sorted(phi) == [1, 2, 3, 4, 6, 7, 12]
+        assert phi[1] == Poly([-1, 1])
+        assert phi[7] == Poly([1] * 7)
+        assert phi[12] == Poly([1, 0, -1, 0, 1])
+
+    def test_first_coefficient_outside_unit_range_at_105(self):
+        phi = cyclotomics(range(1, 106))
+        for n in range(1, 105):
+            assert set(phi[n].ints) <= {-1, 0, 1}, n
+        assert -2 in phi[105].ints
+        assert min(phi[105].ints) == -2 and max(phi[105].ints) == 1
+
+
+def euclid_reference(f):
+    """The general route: Euclid's gcd over Q inside the RatFun constructor."""
+    return RatFun(f.num * f.scale, f.den_poly())
+
+
+# factor exponents chosen so that one Phi_n is shared by several factors
+# (Phi_2 by 1 - z^2, 1 - z^4, 1 - z^6; Phi_3 by 1 - z^3, 1 - z^6, ...)
+factor_maps = st.dictionaries(
+    st.sampled_from([1, 2, 3, 4, 6, 8, 9, 10, 12]), st.integers(1, 3), max_size=4
+)
+
+
+@st.composite
+def cyclotomic_numerator_cases(draw):
+    factors = draw(factor_maps)
+    orders = [n for a in factors for n in range(1, a + 1) if a % n == 0]
+    orders += draw(st.lists(st.integers(1, 12), max_size=2))
+    phi = cyclotomics(orders or [1])
+    num = Poly(draw(st.lists(st.integers(-6, 6), min_size=1, max_size=7)))
+    for n in draw(st.lists(st.sampled_from(sorted(phi)), max_size=8)):
+        num = num * phi[n]
+    scale = draw(
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+    )
+    return FactoredRatFun(num, factors, scale)
+
+
+class TestCyclotomicReduction:
+    @given(cyclotomic_numerator_cases())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_euclid_reference(self, f):
+        got = f.to_ratfun()
+        assert got == euclid_reference(f)
+        assert got.den.ints[-1] == 1 and got.den.denom == 1
+
+    def test_edge_cases(self):
+        phi = cyclotomics([6])
+        cases = [
+            FactoredRatFun(ZERO, {2: 1, 6: 2}, Fraction(3, 7)),
+            FactoredRatFun(Poly([2, -3, 5]), {}, Fraction(-5, 3)),
+            FactoredRatFun(ZERO),
+            FactoredRatFun(ONE),
+            # Phi_2 divides the numerator twice and is shared by (1 - z^2)
+            # and (1 - z^6): the cancellation is partial in both
+            FactoredRatFun(phi[2] ** 2 * phi[3], {2: 1, 6: 2}, Fraction(2, 3)),
+            # everything cancels
+            FactoredRatFun(-(phi[1] * phi[2] * phi[3] * phi[6]), {6: 1}),
+        ]
+        for f in cases:
+            assert f.to_ratfun() == euclid_reference(f), f
+        assert cases[0].to_ratfun() == RatFun(ZERO)
+        assert cases[-1].to_ratfun() == RatFun(ONE)
+
+
+class TestNoGcdOnHotPath:
+    """Every route's result is reduced without Euclid's gcd."""
+
+    def test_routes_never_call_poly_gcd(self, monkeypatch, capsys):
+        from poincare_series import cli, closedform, springer
+
+        def forbidden(p, q):
+            raise AssertionError("poly_gcd on the hot path")
+
+        monkeypatch.setattr(algebra, "poly_gcd", forbidden)
+        springer._poincare_cached.cache_clear()
+        try:
+            for d in ((1, 2, 3), (2, 2), (4, 5), (3, 3, 1), (6,)):
+                for kind in ("invariants", "semiinvariants"):
+                    springer.poincare_series(d, kind)
+            for kind in ("invariants", "covariants"):
+                springer.single_form_series(7, kind)
+            for kind in ("invariants", "semiinvariants"):
+                closedform.all_ones(4, kind)
+                closedform.all_twos(3, kind)
+            for argv in (
+                ["--d", "2,3", "--kind", "invariants", "--format", "factored"],
+                ["--d", "1,1,1", "--method", "all", "--format", "json"],
+                ["--d", "2,2", "--kind", "invariants", "--method", "all"],
+                ["--d", "5", "--kind", "covariants", "--method", "all"],
+            ):
+                assert cli.main(argv) == 0, argv
+        finally:
+            # results made here are correct; dropping them keeps later
+            # tests independent of this one
+            springer._poincare_cached.cache_clear()
+        capsys.readouterr()

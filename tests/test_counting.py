@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -16,6 +17,7 @@ from poincare_series.counting import (
     multiplicity_table,
     omega,
 )
+from poincare_series.springer import poincare_series
 
 from _oracles import enumerate_omega, generating_function_biseries
 
@@ -39,6 +41,14 @@ class TestDegreeVector:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             DegreeVector((-1,))
+
+    def test_rejects_non_integral(self):
+        # 2.9 once became 2 and "3" became 3
+        for degs in ((2.9, 1.5), (3.0,), ("3",), (2, Fraction(3))):
+            with pytest.raises(TypeError):
+                DegreeVector(degs)
+        with pytest.raises(TypeError):
+            poincare_series((2.9,), "invariants")
 
     def test_variable_count(self):
         assert DegreeVector((1, 2, 3)).variable_count == 9

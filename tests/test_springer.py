@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincare_series.algebra import (
     ONE,
@@ -12,7 +14,12 @@ from poincare_series.algebra import (
     one_minus_z,
     pochhammer,
 )
-from poincare_series.counting import DegreeVector, build_factored_gf, dimension
+from poincare_series.counting import (
+    DegreeVector,
+    build_factored_gf,
+    degree_multisets,
+    dimension,
+)
 from poincare_series.springer import (
     PFD,
     _poincare_cached,
@@ -270,6 +277,47 @@ class TestPoincareSeries:
             for kind in ("invariants", "semiinvariants"):
                 series = poincare_series(degs, kind).expand(8)
                 assert series == [dimension(degs, m, kind) for m in range(9)]
+
+
+def pole_order_at_one(den: Poly) -> int:
+    r = 0
+    while True:
+        q, rem = divmod(den, one_minus_z(1))
+        if not rem.is_zero():
+            return r
+        den, r = q, r + 1
+
+
+def reverse(p: Poly) -> Poly:
+    """z^deg p * p(1/z)."""
+    return Poly._from_ints(list(reversed(p.ints)), p.denom)
+
+
+# past the crosscheck sweep (N <= 8): 5 <= N = sum(d_k + 1) <= 16, d_k <= 8
+LARGE_SYSTEMS = [d for d in degree_multisets(16, 8) if sum(k + 1 for k in d) >= 5]
+
+
+class TestStructuralIdentities:
+    """O(degree) identities of every series, for systems too big for brute force.
+
+    With N = sum(d_k + 1) and r the pole order at z = 1: r is N - 3 for
+    invariants and N - 1 for semi-invariants, deg num - deg den = -N, and
+    the Gorenstein equation P(1/z) = (-1)^r z^N P(z) holds, which on
+    num/den reads rev(num) den = (-1)^r num rev(den).
+    """
+
+    @given(
+        st.sampled_from(LARGE_SYSTEMS),
+        st.sampled_from(["invariants", "semiinvariants"]),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_pole_order_degree_and_functional_equation(self, d, kind):
+        n = sum(k + 1 for k in d)
+        f = poincare_series(d, kind)
+        r = pole_order_at_one(f.den)
+        assert r == (n - 3 if kind == "invariants" else n - 1)
+        assert f.num.degree - f.den.degree == -n
+        assert reverse(f.num) * f.den == f.num * reverse(f.den) * (-1) ** r
 
 
 class TestSingleForm:
