@@ -412,8 +412,7 @@ class RatFun:
 
     The result value every route returns. The constructor always
     canonicalizes by Euclid's gcd (``poly_gcd``), so structural equality of
-    two RatFun instances is value equality; the sum, product and derivative
-    exist to check results. The routes' results come from
+    two RatFun instances is value equality. The routes' results come from
     ``FactoredRatFun.to_ratfun``, which reaches the same canonical form by
     exact cyclotomic division and hands it to ``_from_reduced``.
     """
@@ -455,28 +454,6 @@ class RatFun:
     def __repr__(self):
         return f"RatFun({self.num.to_string()!r}, {self.den.to_string()!r})"
 
-    def __add__(self, other):
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    def derivative(self, order: int = 1) -> "RatFun":
-        """Exact derivative d/dz, repeated ``order`` times."""
-        if order < 0:
-            raise ValueError("negative derivative order")
-        f = self
-        for _ in range(order):
-            f = RatFun(
-                f.num.derivative() * f.den - f.num * f.den.derivative(),
-                f.den * f.den,
-            )
-        return f
-
     def expand(self, n: int) -> list:
         """Power series coefficients at z = 0 through z^n inclusive."""
         if n < 0:
@@ -495,17 +472,18 @@ class RatFun:
 
 
 class FactoredRatFun:
-    """Rational function scale * num / prod over (a, e) of (1 - z^a)^e.
+    """Rational function num / prod over (a, e) of (1 - z^a)^e.
 
-    The factor multiset is never expanded implicitly; products,
-    derivatives, series expansion and factor cancellation all act on the
-    (a, e) pairs directly. Convert with ``to_ratfun`` when a canonical
-    reduced form is wanted.
+    Any rational factor lives in the numerator's ``denom``. The factor
+    multiset is never expanded implicitly; products, derivatives, series
+    expansion and factor cancellation all act on the (a, e) pairs
+    directly. Convert with ``to_ratfun`` when a canonical reduced form is
+    wanted.
     """
 
-    __slots__ = ("num", "factors", "scale")
+    __slots__ = ("num", "factors")
 
-    def __init__(self, num, factors=(), scale=1):
+    def __init__(self, num, factors=()):
         if not isinstance(num, Poly):
             num = Poly([num])
         merged: dict[int, int] = {}
@@ -514,24 +492,17 @@ class FactoredRatFun:
             if a < 1 or e < 1:
                 raise ValueError("factor exponents and multiplicities must be >= 1")
             merged[a] = merged.get(a, 0) + e
-        scale = _coeff(scale)
-        if not scale:
-            raise ValueError("scale must be nonzero")
         self.num = num
         self.factors = tuple(sorted(merged.items()))
-        self.scale = scale
 
     def __repr__(self):
         fac = " ".join(
             f"(1-z^{a})^{e}" if e > 1 else f"(1-z^{a})" for a, e in self.factors
         )
-        return f"FactoredRatFun({self.scale} * ({self.num.to_string()}) / {fac or '1'})"
+        return f"FactoredRatFun(({self.num.to_string()}) / {fac or '1'})"
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def factor_dict(self) -> dict:
-        return dict(self.factors)
 
     def den_poly(self) -> Poly:
         out = ONE
@@ -539,24 +510,9 @@ class FactoredRatFun:
             out = out * one_minus_z(a) ** e
         return out
 
-    def value_at_zero(self) -> Fraction:
-        # every (1 - z^a) equals 1 at the origin
-        return self.scale * self.num[0]
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _coeff(other)
-            if not other:
-                return FactoredRatFun(ZERO, self.factors)
-            return FactoredRatFun(self.num, self.factors, self.scale * other)
-        if isinstance(other, Poly):
-            return FactoredRatFun(self.num * other, self.factors, self.scale)
-        if isinstance(other, FactoredRatFun):
-            return FactoredRatFun(
-                self.num * other.num,
-                self.factors + other.factors,
-                self.scale * other.scale,
-            )
+        if isinstance(other, (int, Fraction, Poly)):
+            return FactoredRatFun(self.num * other, self.factors)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -564,14 +520,14 @@ class FactoredRatFun:
     def __add__(self, other):
         if not isinstance(other, FactoredRatFun):
             return NotImplemented
-        mine, theirs = self.factor_dict(), other.factor_dict()
+        mine, theirs = dict(self.factors), dict(other.factors)
         common = {a: max(mine.get(a, 0), theirs.get(a, 0)) for a in {*mine, *theirs}}
-        n1 = self.num * self.scale
+        n1 = self.num
         for a, e in common.items():
             gap = e - mine.get(a, 0)
             if gap:
                 n1 = n1 * one_minus_z(a) ** gap
-        n2 = other.num * other.scale
+        n2 = other.num
         for a, e in common.items():
             gap = e - theirs.get(a, 0)
             if gap:
@@ -597,15 +553,13 @@ class FactoredRatFun:
         for a, e in self.factors:
             # d/dz (1 - z^a)^(-e) = e*a*z^(a-1) * (1 - z^a)^(-e-1)
             new_num = new_num + self.num * (e * a) * Poly.monomial(a - 1) * cof[a]
-        return FactoredRatFun(
-            new_num, {a: e + 1 for a, e in self.factors}, self.scale
-        )
+        return FactoredRatFun(new_num, {a: e + 1 for a, e in self.factors})
 
     def expand(self, n: int) -> list:
         """Series coefficients through z^n; each 1/(1 - z^a) is a stride-a prefix sum."""
         if n < 0:
             raise ValueError("negative truncation order")
-        out = [self.scale * self.num[m] for m in range(n + 1)]
+        out = [self.num[m] for m in range(n + 1)]
         for a, e in self.factors:
             for _ in range(e):
                 for j in range(a, n + 1):
@@ -615,7 +569,7 @@ class FactoredRatFun:
     def reduced(self) -> "FactoredRatFun":
         """Cancel every (1 - z^a) factor that divides the numerator exactly."""
         if self.num.is_zero():
-            return FactoredRatFun(ZERO, (), self.scale)
+            return FactoredRatFun(ZERO)
         num = self.num
         remaining: dict[int, int] = {}
         for a, e in sorted(self.factors, reverse=True):
@@ -627,7 +581,7 @@ class FactoredRatFun:
                 num, e = q, e - 1
             if e:
                 remaining[a] = e
-        return FactoredRatFun(num, remaining, self.scale)
+        return FactoredRatFun(num, remaining)
 
     def to_ratfun(self) -> RatFun:
         """The reduced RatFun of this value, by exact division by cyclotomic polynomials.
@@ -657,4 +611,4 @@ class FactoredRatFun:
             if c:
                 den = den * phi[n] ** c
         sign = -1 if sum(e for _, e in slim.factors) % 2 else 1
-        return RatFun._from_reduced(num * (slim.scale * sign), den)
+        return RatFun._from_reduced(num * sign, den)

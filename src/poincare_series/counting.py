@@ -12,15 +12,10 @@ closure of the associated Weitzenboeck derivation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from operator import index
 
 KINDS = ("invariants", "semiinvariants")
-
-# one row per (degrees, m): well above the few hundred that a CLI session
-# or the default crosscheck sweep fills, yet bounded
-_ROW_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -130,52 +125,58 @@ def _omega_table(degrees: tuple, m: int) -> tuple:
     return span, table
 
 
-@lru_cache(maxsize=_ROW_CACHE_SIZE)
-def _omega_row(degrees: tuple, m: int) -> tuple:
-    """Row m of ``_omega_table``, as (offset, counts) with counts a tuple."""
-    span, table = _omega_table(degrees, m)
-    return span, tuple(table[m])
+def _omega_row(d, m: int) -> tuple:
+    """Row m of ``_omega_table``, as (offset, counts); m must be nonnegative."""
+    if m < 0:
+        raise ValueError("degree must be nonnegative")
+    span, table = _omega_table(as_degree_vector(d).degrees, m)
+    return span, table[m]
+
+
+def _count(span: int, row, i: int) -> int:
+    idx = i + span
+    return row[idx] if 0 <= idx < len(row) else 0
 
 
 def omega(d, m: int, i: int) -> int:
     """Number of monomials of total degree m and weight i in the system's variables."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    d = as_degree_vector(d)
-    span, row = _omega_row(d.degrees, m)
-    idx = i + span
-    if idx < 0 or idx >= len(row):
-        return 0
-    return row[idx]
+    return _count(*_omega_row(d, m), i)
 
 
-def gamma(d, m: int, k: int) -> int:
-    """Multiplicity of the weight-k isotypic piece in degree m: omega(k) - omega(k+2).
+def _gammas(d, m: int, ks) -> list:
+    """gamma(d, m, k) for every k in ks, read off one row.
 
     Always nonnegative; a negative difference can only come from a
     counting bug, so it is raised, never returned.
     """
-    value = omega(d, m, k) - omega(d, m, k + 2)
-    if value < 0:
-        raise RuntimeError(
-            f"negative multiplicity gamma_{m}({d}; {k}); counting is inconsistent"
-        )
-    return value
+    span, row = _omega_row(d, m)
+    out = []
+    for k in ks:
+        value = _count(span, row, k) - _count(span, row, k + 2)
+        if value < 0:
+            raise RuntimeError(
+                f"negative multiplicity gamma_{m}({d}; {k}); counting is inconsistent"
+            )
+        out.append(value)
+    return out
+
+
+def gamma(d, m: int, k: int) -> int:
+    """Multiplicity of the weight-k isotypic piece in degree m: omega(k) - omega(k+2)."""
+    return _gammas(d, m, [k])[0]
 
 
 def _dimension_of_row(span: int, row, kind: str) -> int:
     # invariants: omega(0) - omega(2); semi-invariants: omega(0) + omega(1)
     step, sign = (2, -1) if kind == "invariants" else (1, 1)
-    return row[span] + sign * (row[span + step] if span + step < len(row) else 0)
+    return row[span] + sign * _count(span, row, step)
 
 
 def dimension(d, m: int, kind: str) -> int:
     """Graded dimension in degree m: invariant or semi-invariant count."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    return _dimension_of_row(*_omega_row(as_degree_vector(d).degrees, m), kind)
+    return _dimension_of_row(*_omega_row(d, m), kind)
 
 
 def dimensions(d, horizon: int, kind: str) -> list:
@@ -207,5 +208,5 @@ class MultiplicityTable:
 
 def multiplicity_table(d, m: int) -> MultiplicityTable:
     d = as_degree_vector(d)
-    entries = tuple((k, gamma(d, m, k)) for k in range(m * d.d_star + 1))
-    return MultiplicityTable(d, m, entries)
+    ks = range(m * d.d_star + 1)
+    return MultiplicityTable(d, m, tuple(zip(ks, _gammas(d, m, ks))))

@@ -48,9 +48,9 @@ class PFD:
 
     terms holds (i, k, A) for every pole exponent i and every power
     k = 1..beta_i, ordered by (i, k); A is the coefficient of
-    1/(1 - t z^i)^k, kept in factored form with an integer numerator and
-    scale 1. Zero coefficients are kept so the term list shape depends
-    only on the exponent map.
+    1/(1 - t z^i)^k, kept in factored form with an integer numerator.
+    Zero coefficients are kept so the term list shape depends only on the
+    exponent map.
     """
 
     d_star: int
@@ -128,7 +128,7 @@ def phi_factored(f: FactoredRatFun, n: int) -> FactoredRatFun:
     block = q_block(n)
     for a, e in f.factors:
         num = num * block.compose_power(a) ** e
-    return FactoredRatFun(num.multisect(n), f.factors, f.scale)
+    return FactoredRatFun(num.multisect(n), f.factors)
 
 
 def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> FactoredRatFun:
@@ -150,9 +150,10 @@ def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> Factored
                 g = g.derivative()
             g = g * Fraction(1, factorial(k - 1))
         return g
+    # R(0) is num(0): every (1 - z^a) equals 1 at the origin
     if i == n:
-        return FactoredRatFun(Poly([r_fun.value_at_zero()]), {1: k})
-    return FactoredRatFun(Poly([r_fun.value_at_zero()]))
+        return FactoredRatFun(Poly([r_fun.num[0]]), {1: k})
+    return FactoredRatFun(Poly([r_fun.num[0]]))
 
 
 _PREFACTOR = {"semiinvariants": Poly([1, 1]), "invariants": Poly([1, 0, -1])}

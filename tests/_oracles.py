@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
+from poincare_series.algebra import FactoredRatFun, Poly, RatFun
 from poincare_series.counting import as_degree_vector
 
 
@@ -39,9 +40,9 @@ def geometric_series(a, n):
     return [Fraction(1) if j % a == 0 else Fraction(0) for j in range(n + 1)]
 
 
-def factored_series(num_coeffs, factors, n, scale=1):
-    """Series of scale * num / prod (1 - z^a)^e by repeated convolution."""
-    out = [Fraction(scale) * c for c in convolve(num_coeffs, [Fraction(1)], n)]
+def factored_series(num_coeffs, factors, n):
+    """Series of num / prod (1 - z^a)^e by repeated convolution."""
+    out = convolve(num_coeffs, [Fraction(1)], n)
     for a, e in factors:
         for _ in range(e):
             out = convolve(out, geometric_series(a, n), n)
@@ -68,6 +69,23 @@ def psi_diagonal(r_coeffs, i, k, n, count):
         else:
             out.append(comb(j + k - 1, k - 1) * r_coeffs[idx])
     return out
+
+
+def ratfun_add(f, g):
+    """Sum of two RatFun values, reduced by Euclid's gcd in the constructor."""
+    return RatFun(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def ratfun_derivative(f, order=1):
+    """Exact derivative d/dz of a RatFun, repeated ``order`` times, by the quotient rule."""
+    if order < 0:
+        raise ValueError("negative derivative order")
+    for _ in range(order):
+        f = RatFun(
+            f.num.derivative() * f.den - f.num * f.den.derivative(),
+            f.den * f.den,
+        )
+    return f
 
 
 class BiSeries:
@@ -127,8 +145,6 @@ def recombined_biseries(pfd, t_order, z_order):
 
 def random_factored(rng, max_num_deg=6, max_factors=3, max_exp=5, max_mult=2):
     """Random FactoredRatFun with small integer data; never identically zero."""
-    from poincare_series.algebra import FactoredRatFun, Poly
-
     while True:
         coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, max_num_deg + 1))]
         if any(coeffs):
@@ -138,4 +154,4 @@ def random_factored(rng, max_num_deg=6, max_factors=3, max_exp=5, max_mult=2):
         a = rng.randint(1, max_exp)
         factors[a] = factors.get(a, 0) + rng.randint(1, max_mult)
     scale = Fraction(rng.choice([1, 1, 1, -1, 2, -3]), rng.choice([1, 1, 2]))
-    return FactoredRatFun(Poly(coeffs), factors, scale)
+    return FactoredRatFun(Poly(coeffs) * scale, factors)

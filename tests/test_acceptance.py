@@ -14,7 +14,6 @@ from poincare_series.counting import degree_multisets
 from poincare_series.closedform import all_ones, all_twos
 from poincare_series.counting import (
     DegreeVector,
-    _omega_row,
     build_factored_gf,
     dimension,
     gamma,
@@ -63,7 +62,6 @@ def assemble(num, factors):
 def test_criterion_1_golden_tables():
     with criterion(1, "golden tables"):
         _poincare_cached.cache_clear()
-        _omega_row.cache_clear()
         with open(shipped_corpus_path(), encoding="utf-8") as handle:
             text = handle.read()
         start = time.perf_counter()
@@ -91,7 +89,6 @@ def test_criterion_2_worked_intermediates():
 def test_criterion_3_oracle_equivalence():
     with criterion(3, "counting vs operator"):
         _poincare_cached.cache_clear()
-        _omega_row.cache_clear()
         start = time.perf_counter()
         for degs in SWEEP:
             for kind in KINDS:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from poincare_series.counting import (
     DegreeVector,
-    _omega_row,
     as_degree_vector,
     build_factored_gf,
     degree_multisets,
@@ -64,17 +63,6 @@ class TestDegreeVector:
     @settings(deadline=None, max_examples=40)
     def test_order_irrelevant(self, degs):
         assert DegreeVector(degs) == DegreeVector(tuple(reversed(degs)))
-
-
-class TestRowCache:
-    def test_cache_is_bounded_and_hit(self):
-        info = _omega_row.cache_info()
-        # bounded, yet above the 460 rows one benchmark CLI session fills
-        assert info.maxsize is not None and info.maxsize >= 460
-        first = omega((1, 2), 3, 1)
-        hits = _omega_row.cache_info().hits
-        assert omega((2, 1), 3, 1) == first
-        assert _omega_row.cache_info().hits == hits + 1
 
 
 class TestFactorExponents:
@@ -186,6 +174,11 @@ class TestMultiplicityTable:
             for m in range(5):
                 table = multiplicity_table(degs, m)
                 assert table.total() == table.expected_total(), (degs, m)
+
+    def test_negative_degree_rejected(self):
+        # once an empty table whose total() matched expected_total() (both 0)
+        with pytest.raises(ValueError):
+            multiplicity_table((2, 3), -1)
 
     def test_entries_cover_all_weights(self):
         table = multiplicity_table((2,), 3)

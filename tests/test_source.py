@@ -17,3 +17,49 @@ def test_no_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+
+def _cache_refs(tree):
+    """Every (node, name) naming functools.cache or functools.lru_cache, aliases included."""
+    names = {"cache": "cache", "lru_cache": "lru_cache"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update({a.asname: a.name for a in node.names if a.asname and a.name in names})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in names:
+            yield node, names[node.id]
+        elif isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache"):
+            yield node, node.attr
+
+
+def test_caches_are_bounded():
+    # memory stays bounded in a long-lived process: every functools cache in
+    # the package is an lru_cache called with a finite, positive int maxsize
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        ints = {
+            target.id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        bounded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+                size = sizes[0] if sizes else None
+                if isinstance(size, ast.Name):
+                    size = ints.get(size.id)
+                elif isinstance(size, ast.Constant):
+                    size = size.value
+                if type(size) is int and size > 0:
+                    bounded.add(id(node.func))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node, name in _cache_refs(tree)
+            if name == "cache" or id(node) not in bounded
+        ]
+    assert found == []
