@@ -5,7 +5,8 @@ Corpus lines look like
     d=1,2,3; kind=semiinvariants; num=1,1,6,...; den=(4,2)(1,2)(2,1)(3,2)(5,1); sign_insensitive=false
 
 num holds ascending numerator coefficients, den the (a, e) exponents of a
-product of (1 - z^a)^e. Comparison is exact, by cross-multiplication of
+product of (1 - z^a)^e; sign_insensitive is optional, and an unknown or
+repeated field is an error. Comparison is exact, by cross-multiplication of
 the unreduced record against the computed series; sign-insensitive
 records also accept the negated value (for published forms whose overall
 sign is ambiguous).
@@ -22,11 +23,15 @@ from .counting import KINDS, DegreeVector
 from .springer import poincare_series
 
 _FIELD = re.compile(r"^\s*(\w+)\s*=\s*(.*?)\s*$")
+_FIELDS = ("d", "kind", "num", "den", "sign_insensitive")
 _FACTOR = re.compile(r"\((\-?\d+)\s*,\s*(\-?\d+)\)")
 
 
 class CorpusError(ValueError):
-    """Malformed corpus line; message carries line number and field."""
+    """Malformed corpus line, or a corpus with no record.
+
+    A line's message carries its line number and field.
+    """
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,12 @@ def parse_record(line: str, line_no: int) -> GoldenRecord:
         m = _FIELD.match(chunk)
         if not m:
             raise CorpusError(f"line {line_no}: malformed field {chunk.strip()!r}")
-        fields[m.group(1)] = m.group(2)
+        name = m.group(1)
+        if name not in _FIELDS:
+            raise CorpusError(f"line {line_no}: unknown field '{name}'")
+        if name in fields:
+            raise CorpusError(f"line {line_no}: repeated field '{name}'")
+        fields[name] = m.group(2)
     for required in ("d", "kind", "num", "den"):
         if required not in fields:
             raise CorpusError(f"line {line_no}: missing field '{required}'")
@@ -110,13 +120,12 @@ def check_record(record: GoldenRecord):
 def check_corpus(text: str, emit=print) -> int:
     """Replay a corpus; print one PASS/FAIL line per record plus a summary.
 
-    Returns the number of failing records.
+    Returns the number of failing records. A corpus with no record is an
+    error, not a pass.
     """
     records = parse_corpus(text)
     if not records:
-        emit("warning: corpus contains no records")
-        emit("golden-check: 0 records, 0 failures")
-        return 0
+        raise CorpusError("corpus contains no records")
     failures = 0
     for record in records:
         ok, _ = check_record(record)

@@ -4,22 +4,26 @@ Pipeline: decompose the weight-shifted generating function
 prod_e (1 - t z^e)^(-beta_e) into partial fractions over t, reading the
 coefficients at each pole t = z^(-i) off one binomial series in
 u = 1 - t z^i (see ``partial_fractions``), then apply the diagonal
-operator term by term. Each term A_{i,k}/(1 - t z^i)^k contributes,
-depending on how the pole exponent i compares with the shift n = d*:
+operator pole by pole. The terms A_{i,k}/(1 - t z^i)^k, k = 1..beta_i,
+contribute, depending on how the pole exponent i compares with the
+shift n = d*:
 
-    i < n   ->  1/(k-1)! * (d/dz)^(k-1) [ z^(k-1) * phi_{n-i}(R) ]
-    i = n   ->  R(0) / (1 - z)^k
-    i > n   ->  R(0)
+    i < n   ->  phi_m( sum_k C(theta/m + k - 1, k - 1) R_k ),  m = n - i
+    i = n   ->  sum_k R_k(0) / (1 - z)^k
+    i > n   ->  sum_k R_k(0)
 
-where R = prefactor * A_{i,k} and phi_n is power-series multisection
-(keep every n-th coefficient). The prefactor is 1 + z for the
-semi-invariant series and 1 - z^2 for the invariant one.
+where R_k = prefactor * A_{i,k}, theta = z d/dz and phi_m is power-series
+multisection (keep every m-th coefficient). Below the shift each term is
+1/(k-1)! (d/dz)^(k-1) [z^(k-1) phi_m(R_k)] = C(theta + k - 1, k - 1) phi_m(R_k),
+and theta phi_m = phi_m theta/m, so one pole needs one multisection. The
+prefactor is 1 + z for the semi-invariant series and 1 - z^2 for the
+invariant one.
 
 Everything stays in the factored-denominator representation: the
-multisection of R(z)/prod(1 - z^a) is computed by multiplying the
-numerator with geometric blocks (1 + z^a + ... + z^(a(n-1))), which turns
-every denominator factor into a function of z^n, so the factor multiset
-survives the multisection unchanged.
+multisection of R(z)/prod(1 - z^a) multiplies the numerator by the
+geometric block of n/gcd(a, n) terms at z^a, which turns each factor into
+(1 - z^lcm(a, n)), a function of z^n; after the multisection it is
+(1 - z^(a/gcd(a, n))) with its multiplicity unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, gcd, prod
 
 from .algebra import (
     ONE,
@@ -116,19 +120,38 @@ def partial_fractions(exponents: dict) -> PFD:
 def phi_factored(f: FactoredRatFun, n: int) -> FactoredRatFun:
     """Multisection keeping every n-th coefficient, in factored form.
 
-    Multiplying the numerator by the geometric block of each denominator
-    factor rewrites f with a denominator in z^n; the multisection then
-    acts on the numerator alone and the factor multiset carries over.
+    With g = gcd(a, n), each (1 - z^a)^e becomes (1 - z^lcm(a, n))^e when
+    the numerator is multiplied by the block of n/g terms at z^a,
+    (1 + z^a + ... + z^(a(n/g - 1)))^e. The denominator is then a function
+    of z^n, so the multisection acts on the numerator alone and leaves
+    (1 - z^(a/g))^e: the multiplicities carry over, each a shrinks to a/g.
     """
     if n < 1:
         raise ValueError("multisection index must be >= 1")
     if n == 1:
         return f
     num = f.num
-    block = q_block(n)
+    factors = []
     for a, e in f.factors:
-        num = num * block.compose_power(a) ** e
-    return FactoredRatFun(num.multisect(n), f.factors)
+        g = gcd(a, n)
+        num = num * q_block(n // g).compose_power(a) ** e
+        factors.append((a // g, e))
+    return FactoredRatFun(num.multisect(n), factors)
+
+
+def _below_shift(r_funs, m: int) -> FactoredRatFun:
+    """One pole below the shift: phi_m of sum_k C(theta/m + k - 1, k - 1) R_k.
+
+    R_k is r_funs[k - 1]. Horner's rule evaluates the sum before the one
+    multisection: acc = R_beta, then for k = beta down to 2,
+    acc = R_(k-1) + (theta + m(k-1)) acc / (m(k-1)).
+    """
+    acc = r_funs[-1]
+    for k in range(len(r_funs), 1, -1):
+        # (theta + c) acc / c = acc + z acc' / c, with c = m(k - 1)
+        acc = acc + acc.derivative() * Poly.monomial(1, Fraction(1, m * (k - 1)))
+        acc = acc + r_funs[k - 2]
+    return phi_factored(acc, m)
 
 
 def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> FactoredRatFun:
@@ -137,19 +160,14 @@ def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> Factored
     The three branches (i below, at, above the shift n) follow the
     double-series expansion: the t^j coefficient is
     C(j+k-1, k-1) z^(i j) R(z), so above the shift only j = 0 survives.
+    Below the shift this is one pole's sum with R_k alone nonzero.
     """
     if k < 1:
         raise ValueError("pole power must be >= 1")
     if n < 1:
         raise ValueError("shift must be >= 1")
     if i < n:
-        g = phi_factored(r_fun, n - i)
-        if k > 1:
-            g = g * Poly.monomial(k - 1)
-            for _ in range(k - 1):
-                g = g.derivative()
-            g = g * Fraction(1, factorial(k - 1))
-        return g
+        return _below_shift([FactoredRatFun(ZERO)] * (k - 1) + [r_fun], n - i)
     # R(0) is num(0): every (1 - z^a) equals 1 at the origin
     if i == n:
         return FactoredRatFun(Poly([r_fun.num[0]]), {1: k})
@@ -168,9 +186,17 @@ def _poincare_cached(degrees: tuple, kind: str) -> RatFun:
     d = as_degree_vector(degrees)
     pfd = partial_fractions(build_factored_gf(d))
     prefactor = _PREFACTOR[kind]
+    # the terms come ordered by (i, k), k = 1..beta_i, so poles[i][k - 1] is R_k
+    poles: dict[int, list] = {}
+    for i, _, a_ik in pfd.terms:
+        poles.setdefault(i, []).append(a_ik * prefactor)
     total = FactoredRatFun(ZERO)
-    for i, k, a_ik in pfd.terms:
-        total = total + psi_term_factored(i, k, a_ik * prefactor, d.d_star)
+    for i, r_funs in poles.items():
+        if i < d.d_star:
+            total = total + _below_shift(r_funs, d.d_star - i)
+        else:
+            for k, r_fun in enumerate(r_funs, start=1):
+                total = total + psi_term_factored(i, k, r_fun, d.d_star)
     return total.to_ratfun()
 
 

@@ -189,12 +189,13 @@ class TestGoldenCheckCommand:
         assert lines[-1] == "golden-check: 12 records, 0 failures"
         assert sum(1 for line in lines if line.startswith("PASS")) == 12
 
-    def test_empty_corpus_warns(self, tmp_path, capsys):
+    def test_empty_corpus_rejected(self, tmp_path, capsys):
         p = tmp_path / "empty.txt"
         p.write_text("# nothing here\n")
-        rc, out, _ = run(capsys, "golden-check", str(p))
-        assert rc == 0
-        assert "0 records" in out
+        rc, out, err = run(capsys, "golden-check", str(p))
+        assert rc == 1
+        assert out == ""
+        assert err == "poincare-series: error: corpus contains no records\n"
 
     def test_perturbed_record_fails(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"

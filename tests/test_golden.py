@@ -44,6 +44,12 @@ class TestParsing:
             ("d=2; kind=invariants; num=1; den=(0,1)", "non-positive"),
             ("d=2; kind=invariants; num=1; den=(2,1); sign_insensitive=maybe", "sign_insensitive"),
             ("d=2;; kind=invariants; num=1; den=(2,1)", "malformed field"),
+            (
+                "d=2; kind=invariants; num=1; den=(2,1); sign_insensitve=true",
+                "unknown field 'sign_insensitve'",
+            ),
+            ("d=2; kind=invariants; num=1; den=(2,1); d=3", "repeated field 'd'"),
+            ("d=2; kind=invariants; num=1; den=(2,1); num=1", "repeated field 'num'"),
         ],
     )
     def test_rejects_bad_lines_with_line_number(self, line, needle):
@@ -82,7 +88,8 @@ class TestChecking:
         assert lines[-1] == "golden-check: 12 records, 0 failures"
         assert all(line.startswith("PASS") for line in lines[:-1])
 
-    def test_empty_corpus_reports_zero(self):
+    def test_empty_corpus_rejected(self):
         lines = []
-        assert check_corpus("# only comments\n", emit=lines.append) == 0
-        assert any("0 records" in line for line in lines)
+        with pytest.raises(CorpusError, match="no records"):
+            check_corpus("# only comments\n", emit=lines.append)
+        assert lines == []

@@ -22,6 +22,7 @@ from poincare_series.counting import (
 )
 from poincare_series.springer import (
     PFD,
+    _below_shift,
     _poincare_cached,
     partial_fractions,
     phi_factored,
@@ -142,10 +143,16 @@ class TestPhi:
         f = FactoredRatFun(ONE, {1: 1})
         assert phi_factored(f, 2).to_ratfun() == assemble([1], [(1, 1)])
 
-    def test_keeps_factor_multiset(self):
-        f = FactoredRatFun(Poly([1, 1, 1, 1]), {2: 2, 3: 1})
-        g = phi_factored(f, 3)
-        assert g.factors == f.factors
+    def test_reduces_factors_by_gcd(self):
+        # each (1 - z^a)^e becomes (1 - z^(a/gcd(a, n)))^e
+        f = FactoredRatFun(Poly([1, 1, 1, 1]), {2: 2, 3: 1, 6: 4})
+        assert phi_factored(f, 3).factors == ((1, 1), (2, 6))
+        assert phi_factored(f, 4).factors == ((1, 2), (3, 5))
+        for n in (3, 4):
+            assert phi_factored(f, n).expand(20) == multisection(f.expand(20 * n), n)
+        g = phi_factored(FactoredRatFun(ONE, {2: 3}), 2)
+        assert g.num == ONE
+        assert g.factors == ((1, 3),)
 
     def test_even_part_substitution(self):
         # phi_2 of F(z^2) is F(z); phi_2 of z F(z^2) vanishes
@@ -226,6 +233,24 @@ class TestPsiTerm:
             reference = psi_diagonal(r.expand(need), i, k, n, count)
             computed = psi_term_factored(i, k, r, n).expand(count)
             assert computed == reference, (i, k, n)
+
+    def test_whole_pole_against_diagonal(self):
+        # one pole i < n: sum_k psi(i, k, R_k) from one multisection
+        rng = random.Random(23)
+        count = 12
+        for _ in range(40):
+            beta = rng.randint(1, 4)
+            r_funs = [
+                random_factored(rng, max_num_deg=4, max_factors=2, max_exp=3)
+                for _ in range(beta)
+            ]
+            n = rng.randint(1, 4)
+            i = rng.randint(0, n - 1)
+            reference = [0] * (count + 1)
+            for k, r in enumerate(r_funs, start=1):
+                terms = psi_diagonal(r.expand(count * (n - i)), i, k, n, count)
+                reference = [x + y for x, y in zip(reference, terms)]
+            assert _below_shift(r_funs, n - i).expand(count) == reference, (beta, i, n)
 
     def test_derivative_branch_explicit(self):
         # i < n with k = 2: 1/(1)! d/dz [z phi_{n-i}(R)]
