@@ -2,13 +2,16 @@
 
 A polynomial in one variable z is stored as integer numerators over one
 positive integer denominator, so that products and divisions run on
-Python ints: a product packs both numerator lists into single big
-integers (Kronecker substitution) and lets the interpreter's big-integer
-multiply do the convolution. On top of that sit reduced rational
-functions, plus a factored representation that keeps the denominator as
-a multiset of (1 - z^a) factors so that multisection, differentiation
-and cancellation can work factor by factor without ever expanding a
-large product.
+Python ints. A product with an operand of one or two nonzero terms, such
+as 1 - z^a, 1 + z or c z^k, is the other operand's numerators scaled and
+shifted once per term and added, O(degree); packing would cost more than
+that product. Any other product packs both numerator lists into single
+big integers (Kronecker substitution) and lets the interpreter's
+big-integer multiply do the convolution. On top of that sit reduced
+rational functions, plus a factored representation that keeps the
+denominator as a multiset of (1 - z^a) factors so that multisection,
+differentiation and cancellation can work factor by factor without ever
+expanding a large product.
 
 Results are reduced in the cyclotomic basis: prod (1 - z^a)^e is, up to
 sign, prod_n Phi_n^(c_n) with c_n = sum of e over the a divisible by n, and
@@ -21,7 +24,9 @@ route and the tests' reference.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import add, index, sub
 
 
 def _coeff(value) -> Fraction:
@@ -67,8 +72,28 @@ def _kronecker_mul(a, b) -> list:
     ]
 
 
-def _is_monomial(ints) -> bool:
-    return not any(ints[:-1])
+def _sparse_terms(ints):
+    """The nonzero terms (k, c) of ints when there are at most two, else None."""
+    if len(ints) - ints.count(0) > 2:
+        return None
+    return [(k, c) for k, c in enumerate(ints) if c]
+
+
+def _shifted_sum(terms, ints) -> list:
+    """Sum over the terms (k, c) of c * ints shifted by k: the product by a sparse factor."""
+    (k, c), *rest = terms
+    width = len(ints)
+    out = [0] * k + (list(ints) if c == 1 else [c * x for x in ints])
+    out += [0] * (terms[-1][0] - k)
+    for k, c in rest:
+        window = out[k : k + width]
+        if c == 1:
+            out[k : k + width] = map(add, window, ints)
+        elif c == -1:
+            out[k : k + width] = map(sub, window, ints)
+        else:
+            out[k : k + width] = [x + c * y for x, y in zip(window, ints)]
+    return out
 
 
 class Poly:
@@ -193,13 +218,13 @@ class Poly:
         if not a or not b:
             return ZERO
         denom = self.denom * other.denom
-        if _is_monomial(a):
+        terms = _sparse_terms(b)
+        if terms is None:
             a, b = b, a
-        if _is_monomial(b):
-            # a single term c z^k: scale and shift
-            c = b[-1]
-            return Poly._from_ints([0] * (len(b) - 1) + [c * x for x in a], denom)
-        return Poly._from_ints(_kronecker_mul(a, b), denom)
+            terms = _sparse_terms(b)
+        if terms is None:
+            return Poly._from_ints(_kronecker_mul(a, b), denom)
+        return Poly._from_ints(_shifted_sum(terms, a), denom)
 
     __rmul__ = __mul__
 
@@ -289,9 +314,31 @@ class Poly:
 
     def shift(self, k: int) -> "Poly":
         """Multiply by z^k."""
+        if k < 0:
+            raise ValueError("negative shift")
         if self.is_zero():
             return self
         return Poly._from_ints([0] * k + list(self.ints), self.denom)
+
+    def times_block(self, n: int, a: int) -> "Poly":
+        """Multiply by the block 1 + z^a + ... + z^(a(n-1)), q_block(n) at z^a.
+
+        A window sum, in O(degree) integer additions: the stride-a prefix
+        sum of the numerators (the quotient by 1 - z^a) minus itself
+        shifted by a*n (the product by 1 - z^(an)).
+        """
+        if n < 1 or a < 1:
+            raise ValueError("a block needs n >= 1 and a >= 1")
+        if n == 1 or self.is_zero():
+            return self
+        width = a * n
+        out = list(self.ints) + [0] * (width - a)
+        for r in range(a):
+            out[r::a] = accumulate(out[r::a])
+        # the right side is built in full before the slice is assigned, so
+        # it reads the prefix sums, not the window sums
+        out[width:] = map(sub, out[width:], out)
+        return Poly._from_ints(out, self.denom)
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -342,6 +389,15 @@ def q_block(n: int) -> Poly:
     if n < 1:
         raise ValueError("empty block")
     return Poly._from_ints([1] * n)
+
+
+def _times_binomials(num: Poly, factors) -> Poly:
+    """num * prod over (a, e) of (1 - z^a)^e, one shifted pass per factor."""
+    for a, e in factors:
+        fa = one_minus_z(a)
+        for _ in range(e):
+            num = num * fa
+    return num
 
 
 def pochhammer(n: int, m: int) -> int:
@@ -489,6 +545,7 @@ class FactoredRatFun:
         merged: dict[int, int] = {}
         items = factors.items() if isinstance(factors, dict) else factors
         for a, e in items:
+            a, e = index(a), index(e)
             if a < 1 or e < 1:
                 raise ValueError("factor exponents and multiplicities must be >= 1")
             merged[a] = merged.get(a, 0) + e
@@ -505,10 +562,7 @@ class FactoredRatFun:
         return self.num.is_zero()
 
     def den_poly(self) -> Poly:
-        out = ONE
-        for a, e in self.factors:
-            out = out * one_minus_z(a) ** e
-        return out
+        return _times_binomials(ONE, self.factors)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -522,16 +576,8 @@ class FactoredRatFun:
             return NotImplemented
         mine, theirs = dict(self.factors), dict(other.factors)
         common = {a: max(mine.get(a, 0), theirs.get(a, 0)) for a in {*mine, *theirs}}
-        n1 = self.num
-        for a, e in common.items():
-            gap = e - mine.get(a, 0)
-            if gap:
-                n1 = n1 * one_minus_z(a) ** gap
-        n2 = other.num
-        for a, e in common.items():
-            gap = e - theirs.get(a, 0)
-            if gap:
-                n2 = n2 * one_minus_z(a) ** gap
+        n1 = _times_binomials(self.num, [(a, e - mine.get(a, 0)) for a, e in common.items()])
+        n2 = _times_binomials(other.num, [(a, e - theirs.get(a, 0)) for a, e in common.items()])
         return FactoredRatFun(n1 + n2, common)
 
     def derivative(self) -> "FactoredRatFun":
@@ -541,14 +587,8 @@ class FactoredRatFun:
         collects the product rule terms exactly.
         """
         distinct = [a for a, _ in self.factors]
-        cof = {}
-        for a in distinct:
-            p = ONE
-            for b in distinct:
-                if b != a:
-                    p = p * one_minus_z(b)
-            cof[a] = p
-        full = cof[distinct[0]] * one_minus_z(distinct[0]) if distinct else ONE
+        cof = {a: _times_binomials(ONE, [(b, 1) for b in distinct if b != a]) for a in distinct}
+        full = _times_binomials(ONE, [(a, 1) for a in distinct])
         new_num = self.num.derivative() * full
         for a, e in self.factors:
             # d/dz (1 - z^a)^(-e) = e*a*z^(a-1) * (1 - z^a)^(-e-1)

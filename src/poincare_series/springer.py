@@ -23,7 +23,9 @@ Everything stays in the factored-denominator representation: the
 multisection of R(z)/prod(1 - z^a) multiplies the numerator by the
 geometric block of n/gcd(a, n) terms at z^a, which turns each factor into
 (1 - z^lcm(a, n)), a function of z^n; after the multisection it is
-(1 - z^(a/gcd(a, n))) with its multiplicity unchanged.
+(1 - z^(a/gcd(a, n))) with its multiplicity unchanged. The block is
+applied as a window sum, a stride-a prefix sum minus itself shifted by
+the block's span, once per unit of multiplicity; it is never expanded.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .algebra import (
     Poly,
     RatFun,
     one_minus_z,
-    q_block,
     q_shifted_factorial,
 )
 from .counting import KINDS, as_degree_vector, build_factored_gf
@@ -125,6 +126,8 @@ def phi_factored(f: FactoredRatFun, n: int) -> FactoredRatFun:
     (1 + z^a + ... + z^(a(n/g - 1)))^e. The denominator is then a function
     of z^n, so the multisection acts on the numerator alone and leaves
     (1 - z^(a/g))^e: the multiplicities carry over, each a shrinks to a/g.
+    Each block is applied as a window sum (``Poly.times_block``): e passes
+    of O(degree) integer additions, with no block power built.
     """
     if n < 1:
         raise ValueError("multisection index must be >= 1")
@@ -134,7 +137,8 @@ def phi_factored(f: FactoredRatFun, n: int) -> FactoredRatFun:
     factors = []
     for a, e in f.factors:
         g = gcd(a, n)
-        num = num * q_block(n // g).compose_power(a) ** e
+        for _ in range(e):
+            num = num.times_block(n // g, a)
         factors.append((a // g, e))
     return FactoredRatFun(num.multisect(n), factors)
 

@@ -61,6 +61,12 @@ class TestPoly:
     def test_monomial(self):
         assert Poly.monomial(3, 2) == Poly([0, 0, 0, 2])
 
+    def test_negative_shift_rejected(self):
+        # as Poly.monomial rejects a negative exponent; [0] * k is [] for k < 0
+        for p in (Poly([1, 2, 3]), ZERO):
+            with pytest.raises(ValueError):
+                p.shift(-2)
+
     def test_compose_power_multisect_roundtrip(self):
         p = Poly([1, -2, 0, 5])
         assert p.compose_power(3).multisect(3) == p
@@ -236,6 +242,12 @@ class TestFactoredRatFun:
         with pytest.raises(ValueError):
             FactoredRatFun(ONE, {2: 0})
 
+    def test_rejects_non_integral_factors(self):
+        # a float fails here, not later inside range() in expand or to_ratfun
+        for factors in ({2.0: 1}, {2: 1.0}, [(Fraction(2), 1)]):
+            with pytest.raises(TypeError):
+                FactoredRatFun(ONE, factors)
+
     def test_never_expands_factors(self):
         f = FactoredRatFun(ONE, {3: 2, 5: 4})
         assert dict(f.factors) == {3: 2, 5: 4}
@@ -404,5 +416,40 @@ class TestNoGcdOnHotPath:
         finally:
             # results made here are correct; dropping them keeps later
             # tests independent of this one
+            springer._poincare_cached.cache_clear()
+        capsys.readouterr()
+
+
+class TestNoKroneckerForBinomials:
+    """Every product with a one- or two-term operand is a shifted add."""
+
+    def test_routes_never_pack_a_binomial(self, monkeypatch, capsys):
+        from poincare_series import cli, closedform, springer
+
+        packed = algebra._kronecker_mul
+
+        def guarded(a, b):
+            if min(len(a) - a.count(0), len(b) - b.count(0)) <= 2:
+                raise AssertionError("Kronecker product with a one- or two-term operand")
+            return packed(a, b)
+
+        monkeypatch.setattr(algebra, "_kronecker_mul", guarded)
+        springer._poincare_cached.cache_clear()
+        try:
+            for d in ((1, 2, 3), (2, 2), (4, 5), (3, 3, 1), (6,)):
+                for kind in ("invariants", "semiinvariants"):
+                    springer.poincare_series(d, kind)
+            for kind in ("invariants", "covariants"):
+                springer.single_form_series(7, kind)
+            for kind in ("invariants", "semiinvariants"):
+                closedform.all_ones(4, kind)
+                closedform.all_twos(3, kind)
+            for argv in (
+                ["--d", "1,1,1", "--method", "all", "--format", "json"],
+                ["--d", "2,2", "--kind", "invariants", "--method", "all"],
+                ["--d", "5", "--kind", "covariants", "--method", "all"],
+            ):
+                assert cli.main(argv) == 0, argv
+        finally:
             springer._poincare_cached.cache_clear()
         capsys.readouterr()

@@ -3,8 +3,8 @@
 Inputs cover the places a packed or integer kernel can go wrong: signed
 coefficients, magnitudes at the edges of a byte-wide digit, coefficients
 far beyond a machine word, rationals over different denominators, empty,
-constant and single-term operands, and divisors that are 1 - z^a or are
-not monic.
+constant, single-term and two-term operands, and divisors that are
+1 - z^a or are not monic.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poincare_series.algebra import Poly, one_minus_z
+from poincare_series.algebra import Poly, one_minus_z, q_block
 
 
 # schoolbook reference on lists of Fractions, ascending exponents
@@ -101,6 +101,17 @@ coeff_lists = st.one_of(
     monomials(coefficients),
 )
 
+# one or two nonzero terms, zeros below the first: the shifted-add operands;
+# 1 and -1 (as in 1 - z^a and 1 + z) take their own branch
+sparse_coefficients = st.one_of(st.sampled_from((1, -1)), coefficients.filter(bool))
+sparse_lists = st.builds(
+    lambda k, c, gap, d: [0] * k + [c] + ([0] * gap + [d] if gap >= 0 else []),
+    st.integers(0, 6),
+    sparse_coefficients,
+    st.integers(-1, 8),
+    sparse_coefficients,
+)
+
 nonmonic_divisors = st.builds(
     lambda body, lead: body + [lead],
     st.lists(coefficients, max_size=8),
@@ -123,6 +134,21 @@ class TestAgainstReference:
     @SETTINGS
     def test_mul(self, a, b):
         assert values(Poly(a) * Poly(b)) == ref_mul(a, b)
+
+    @given(st.one_of(coeff_lists, sparse_lists), sparse_lists)
+    @SETTINGS
+    def test_mul_by_sparse_operand(self, a, b):
+        assert values(Poly(a) * Poly(b)) == ref_mul(a, b)
+        assert values(Poly(b) * Poly(a)) == ref_mul(b, a)
+
+    @given(coeff_lists, st.integers(1, 7), st.integers(1, 6), st.integers(0, 3))
+    @SETTINGS
+    def test_times_block(self, a, step, n, e):
+        p = Poly(a)
+        out = p
+        for _ in range(e):
+            out = out.times_block(n, step)
+        assert out == p * q_block(n).compose_power(step) ** e
 
     def test_mul_at_digit_bound(self):
         # constant operands: the middle coefficients of the product reach
@@ -208,6 +234,11 @@ class TestCanonicalForm:
             Poly([1, 0.5])
         with pytest.raises(TypeError):
             Poly([1, 2]) * 0.5
+
+    def test_empty_block_rejected(self):
+        for n, a in ((0, 1), (2, 0)):
+            with pytest.raises(ValueError):
+                Poly([1, 2]).times_block(n, a)
 
     def test_inexact_divexact_rejected(self):
         with pytest.raises(ValueError):
