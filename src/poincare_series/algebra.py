@@ -7,7 +7,9 @@ as 1 - z^a, 1 + z or c z^k, is the other operand's numerators scaled and
 shifted once per term and added, O(degree); packing would cost more than
 that product. Any other product packs both numerator lists into single
 big integers (Kronecker substitution) and lets the interpreter's
-big-integer multiply do the convolution. On top of that sit reduced
+big-integer multiply do the convolution. A quotient by 1 - z^a is the
+stride-a prefix sum of the numerators (``Poly.over_binomial``); only
+other divisors take long division. On top of that sit reduced
 rational functions, plus a factored representation that keeps the
 denominator as a multiset of (1 - z^a) factors so that multisection,
 differentiation and cancellation can work factor by factor without ever
@@ -94,6 +96,27 @@ def _shifted_sum(terms, ints) -> list:
         else:
             out[k : k + width] = [x + c * y for x, y in zip(window, ints)]
     return out
+
+
+def _times_binomial(ints: list, a: int) -> None:
+    """Multiply the numerator list ints by 1 - z^a in place."""
+    ints += [0] * a
+    # the right side is built in full before the slice is assigned
+    ints[a:] = map(sub, ints[a:], ints)
+
+
+def _prefix_sums(ints: list, a: int) -> None:
+    """Replace ints by its stride-a prefix sums in place: the series of ints / (1 - z^a).
+
+    One pass per residue class mod a, or one per block of a terms, whichever
+    makes fewer passes.
+    """
+    if a * a < len(ints):
+        for r in range(a):
+            ints[r::a] = accumulate(ints[r::a])
+    else:
+        for k in range(a, len(ints), a):
+            ints[k : k + a] = map(add, ints[k : k + a], ints[k - a : k])
 
 
 class Poly:
@@ -207,10 +230,9 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
+            n = other.numerator
             return Poly._from_ints(
-                [c.numerator * a for a in self.ints] if c else [],
-                self.denom * c.denominator,
+                [n * a for a in self.ints] if n else [], self.denom * other.denominator
             )
         if not isinstance(other, Poly):
             return NotImplemented
@@ -249,7 +271,8 @@ class Poly:
         numerator is not a multiple of the divisor's, the open part of the
         remainder and the quotient so far are scaled by the missing factor,
         which the final denominators then carry. Each step touches only the
-        divisor's nonzero terms, so dividing by 1 - z^a costs O(degree).
+        divisor's nonzero terms; a quotient by 1 - z^a is cheaper still as
+        ``over_binomial``.
         """
         if not isinstance(other, Poly):
             return NotImplemented
@@ -333,11 +356,26 @@ class Poly:
             return self
         width = a * n
         out = list(self.ints) + [0] * (width - a)
-        for r in range(a):
-            out[r::a] = accumulate(out[r::a])
+        _prefix_sums(out, a)
         # the right side is built in full before the slice is assigned, so
         # it reads the prefix sums, not the window sums
         out[width:] = map(sub, out[width:], out)
+        return Poly._from_ints(out, self.denom)
+
+    def over_binomial(self, a: int) -> "Poly | None":
+        """The quotient by 1 - z^a if the division is exact, else None.
+
+        q = self / (1 - z^a) has q_k = self_k + q_(k-a): its numerators are
+        the stride-a prefix sums of self's, and the division is exact iff
+        the last a sums, above the quotient's degree, are zero.
+        """
+        if a < 1:
+            raise ValueError("over_binomial needs a >= 1")
+        out = list(self.ints)
+        _prefix_sums(out, a)
+        if any(out[-a:]):
+            return None
+        del out[-a:]
         return Poly._from_ints(out, self.denom)
 
     def monic(self) -> "Poly":
@@ -392,12 +430,12 @@ def q_block(n: int) -> Poly:
 
 
 def _times_binomials(num: Poly, factors) -> Poly:
-    """num * prod over (a, e) of (1 - z^a)^e, one shifted pass per factor."""
+    """num * prod over (a, e) of (1 - z^a)^e, one shifted pass per unit of e."""
+    out = list(num.ints)
     for a, e in factors:
-        fa = one_minus_z(a)
         for _ in range(e):
-            num = num * fa
-    return num
+            _times_binomial(out, a)
+    return Poly._from_ints(out, num.denom) if len(out) > len(num.ints) else num
 
 
 def pochhammer(n: int, m: int) -> int:
@@ -583,16 +621,19 @@ class FactoredRatFun:
     def derivative(self) -> "FactoredRatFun":
         """d/dz without leaving the factored representation.
 
-        Each distinct factor's multiplicity rises by one; the numerator
-        collects the product rule terms exactly.
+        Each distinct factor's multiplicity rises by one, and the numerator
+        becomes num' * full + num * rest: full is the product of the distinct
+        (1 - z^a), rest the sum over them of e*a*z^(a-1) times the others.
+        Both grow one factor at a time, O(k) shifted passes for k factors.
         """
-        distinct = [a for a, _ in self.factors]
-        cof = {a: _times_binomials(ONE, [(b, 1) for b in distinct if b != a]) for a in distinct}
-        full = _times_binomials(ONE, [(a, 1) for a in distinct])
-        new_num = self.num.derivative() * full
+        full, rest = [1], [0]
         for a, e in self.factors:
             # d/dz (1 - z^a)^(-e) = e*a*z^(a-1) * (1 - z^a)^(-e-1)
-            new_num = new_num + self.num * (e * a) * Poly.monomial(a - 1) * cof[a]
+            term = [0] * (a - 1) + [e * a * c for c in full]
+            _times_binomial(full, a)
+            _times_binomial(rest, a)
+            rest[: len(term)] = map(add, rest, term)
+        new_num = self.num.derivative() * Poly._from_ints(full) + self.num * Poly._from_ints(rest)
         return FactoredRatFun(new_num, {a: e + 1 for a, e in self.factors})
 
     def expand(self, n: int) -> list:
@@ -602,8 +643,7 @@ class FactoredRatFun:
         out = [self.num[m] for m in range(n + 1)]
         for a, e in self.factors:
             for _ in range(e):
-                for j in range(a, n + 1):
-                    out[j] += out[j - a]
+                _prefix_sums(out, a)
         return out
 
     def reduced(self) -> "FactoredRatFun":
@@ -613,10 +653,9 @@ class FactoredRatFun:
         num = self.num
         remaining: dict[int, int] = {}
         for a, e in sorted(self.factors, reverse=True):
-            fa = one_minus_z(a)
             while e > 0:
-                q, r = divmod(num, fa)
-                if not r.is_zero():
+                q = num.over_binomial(a)
+                if q is None:
                     break
                 num, e = q, e - 1
             if e:

@@ -17,7 +17,7 @@ import json
 import sys
 from math import gcd, lcm
 
-from .algebra import Poly, RatFun, one_minus_z
+from .algebra import Poly, RatFun
 from .closedform import applicable as closedform_applicable
 from .closedform import for_degree_vector as closedform_series
 from .counting import KINDS, DegreeVector, degree_multisets, dimensions
@@ -75,13 +75,12 @@ def greedy_factor(den: Poly):
     rem = den
     a = rem.degree
     while a >= 1:
-        if rem.degree >= a:
-            q, r = divmod(rem, one_minus_z(a))
-            if r.is_zero():
-                factors[a] = factors.get(a, 0) + 1
-                rem = q
-                continue
-        a -= 1
+        q = rem.over_binomial(a)
+        if q is None:
+            a -= 1
+        else:
+            factors[a] = factors.get(a, 0) + 1
+            rem = q
     return factors, rem
 
 

@@ -98,9 +98,12 @@ def partial_fractions(exponents: dict) -> PFD:
         if top:
             cover = prod(map(one_minus_z, base), start=ONE)
             for e, beta in others.items():
-                x = cover.divexact(one_minus_z(abs(e - i)))
+                m = abs(e - i)
+                x = cover.over_binomial(m)
+                if x is None:
+                    raise ArithmeticError(f"1 - z^{m} does not divide the cover L")
                 if e > i:
-                    x = x * Poly.monomial(e - i, -1)
+                    x = x * Poly.monomial(m, -1)
                 binomial, power = [ONE], ONE
                 for j in range(1, top + 1):
                     power = power * x

@@ -284,8 +284,12 @@ class TestFactoredRatFun:
         rng = random.Random(9)
         from _oracles import random_factored
 
-        for _ in range(20):
-            f = random_factored(rng)
+        cases = [random_factored(rng) for _ in range(20)]
+        cases += [random_factored(rng, max_factors=8, max_exp=9, max_mult=3) for _ in range(6)]
+        # six distinct factors, each repeated, over a rational numerator
+        num = Poly([Fraction(1, 2), 0, Fraction(-5, 3), 1])
+        cases.append(FactoredRatFun(num, {1: 2, 2: 3, 3: 2, 4: 2, 5: 3, 7: 2}))
+        for f in cases:
             assert f.derivative().to_ratfun() == ratfun_derivative(f.to_ratfun())
 
     def test_reduced_preserves_value(self):
@@ -386,37 +390,42 @@ class TestCyclotomicReduction:
         assert cases[-1].to_ratfun() == RatFun(ONE)
 
 
+def run_every_route():
+    """Each route once: library series, closed forms and CLI requests with checks."""
+    from poincare_series import cli, closedform, springer
+
+    springer._poincare_cached.cache_clear()
+    try:
+        for d in ((1, 2, 3), (2, 2), (4, 5), (3, 3, 1), (6,)):
+            for kind in ("invariants", "semiinvariants"):
+                springer.poincare_series(d, kind)
+        for kind in ("invariants", "covariants"):
+            springer.single_form_series(7, kind)
+        for kind in ("invariants", "semiinvariants"):
+            closedform.all_ones(4, kind)
+            closedform.all_twos(3, kind)
+        for argv in (
+            ["--d", "2,3", "--kind", "invariants", "--format", "factored"],
+            ["--d", "1,1,1", "--method", "all", "--format", "json"],
+            ["--d", "2,2", "--kind", "invariants", "--method", "all"],
+            ["--d", "5", "--kind", "covariants", "--method", "all"],
+        ):
+            assert cli.main(argv) == 0, argv
+    finally:
+        # results made under a patch are correct; dropping them keeps later
+        # tests independent of this one
+        springer._poincare_cached.cache_clear()
+
+
 class TestNoGcdOnHotPath:
     """Every route's result is reduced without Euclid's gcd."""
 
     def test_routes_never_call_poly_gcd(self, monkeypatch, capsys):
-        from poincare_series import cli, closedform, springer
-
         def forbidden(p, q):
             raise AssertionError("poly_gcd on the hot path")
 
         monkeypatch.setattr(algebra, "poly_gcd", forbidden)
-        springer._poincare_cached.cache_clear()
-        try:
-            for d in ((1, 2, 3), (2, 2), (4, 5), (3, 3, 1), (6,)):
-                for kind in ("invariants", "semiinvariants"):
-                    springer.poincare_series(d, kind)
-            for kind in ("invariants", "covariants"):
-                springer.single_form_series(7, kind)
-            for kind in ("invariants", "semiinvariants"):
-                closedform.all_ones(4, kind)
-                closedform.all_twos(3, kind)
-            for argv in (
-                ["--d", "2,3", "--kind", "invariants", "--format", "factored"],
-                ["--d", "1,1,1", "--method", "all", "--format", "json"],
-                ["--d", "2,2", "--kind", "invariants", "--method", "all"],
-                ["--d", "5", "--kind", "covariants", "--method", "all"],
-            ):
-                assert cli.main(argv) == 0, argv
-        finally:
-            # results made here are correct; dropping them keeps later
-            # tests independent of this one
-            springer._poincare_cached.cache_clear()
+        run_every_route()
         capsys.readouterr()
 
 
@@ -424,8 +433,6 @@ class TestNoKroneckerForBinomials:
     """Every product with a one- or two-term operand is a shifted add."""
 
     def test_routes_never_pack_a_binomial(self, monkeypatch, capsys):
-        from poincare_series import cli, closedform, springer
-
         packed = algebra._kronecker_mul
 
         def guarded(a, b):
@@ -434,22 +441,21 @@ class TestNoKroneckerForBinomials:
             return packed(a, b)
 
         monkeypatch.setattr(algebra, "_kronecker_mul", guarded)
-        springer._poincare_cached.cache_clear()
-        try:
-            for d in ((1, 2, 3), (2, 2), (4, 5), (3, 3, 1), (6,)):
-                for kind in ("invariants", "semiinvariants"):
-                    springer.poincare_series(d, kind)
-            for kind in ("invariants", "covariants"):
-                springer.single_form_series(7, kind)
-            for kind in ("invariants", "semiinvariants"):
-                closedform.all_ones(4, kind)
-                closedform.all_twos(3, kind)
-            for argv in (
-                ["--d", "1,1,1", "--method", "all", "--format", "json"],
-                ["--d", "2,2", "--kind", "invariants", "--method", "all"],
-                ["--d", "5", "--kind", "covariants", "--method", "all"],
-            ):
-                assert cli.main(argv) == 0, argv
-        finally:
-            springer._poincare_cached.cache_clear()
+        run_every_route()
+        capsys.readouterr()
+
+
+class TestNoLongDivisionByBinomials:
+    """Every quotient by 1 - z^a is a stride prefix sum, never Poly.__divmod__."""
+
+    def test_routes_never_divmod_by_a_binomial(self, monkeypatch, capsys):
+        long_division = Poly.__divmod__
+
+        def guarded(p, q):
+            if len(q.ints) > 1 and q.ints[0] == 1 and q.ints[-1] == -1 and not any(q.ints[1:-1]):
+                raise AssertionError(f"long division by 1 - z^{q.degree}")
+            return long_division(p, q)
+
+        monkeypatch.setattr(Poly, "__divmod__", guarded)
+        run_every_route()
         capsys.readouterr()

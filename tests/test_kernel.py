@@ -189,6 +189,18 @@ class TestAgainstReference:
         else:
             assert values(p.divexact(d)) == ref_divmod(a, b)[0]
 
+    @given(coeff_lists, st.integers(1, 9))
+    @SETTINGS
+    def test_over_binomial(self, a, step):
+        p, d = Poly(a), one_minus_z(step)
+        assert (p * d).over_binomial(step) == p
+        quot, rem = ref_divmod(a, values(d))
+        q = p.over_binomial(step)
+        if rem:
+            assert q is None
+        else:
+            assert values(q) == quot
+
     @given(coeff_lists)
     @SETTINGS
     def test_derivative(self, a):
@@ -239,6 +251,18 @@ class TestCanonicalForm:
         for n, a in ((0, 1), (2, 0)):
             with pytest.raises(ValueError):
                 Poly([1, 2]).times_block(n, a)
+
+    def test_over_binomial_edges(self):
+        assert Poly().over_binomial(3) == Poly()
+        # a nonzero polynomial of degree below a has no quotient
+        assert Poly([1, 2]).over_binomial(3) is None
+        assert Poly([0, 0, 5]).over_binomial(3) is None
+        half = Poly([Fraction(1, 2), 0, Fraction(-1, 2)])
+        assert half.over_binomial(2) == Poly([Fraction(1, 2)])
+        assert half.over_binomial(1) == Poly([Fraction(1, 2), Fraction(1, 2)])
+        for a in (0, -1):
+            with pytest.raises(ValueError):
+                Poly([1, -1]).over_binomial(a)
 
     def test_inexact_divexact_rejected(self):
         with pytest.raises(ValueError):
