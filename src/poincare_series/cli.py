@@ -192,10 +192,9 @@ def _run_counting(d: DegreeVector, args) -> str:
     )
 
 
-def _method_all_checks(d: DegreeVector, kind: str, f: RatFun, truncate) -> dict:
-    horizon = truncate if truncate is not None else DEFAULT_TRUNCATE
-    series = f.expand(horizon)
-    checks = {"counting": series == dimensions(d, horizon, kind)}
+def _route_checks(d: DegreeVector, kind: str, f: RatFun, horizon: int) -> dict:
+    """name -> whether f agrees: counting on degrees 0..horizon, each applicable route exactly."""
+    checks = {"counting": f.expand(horizon) == dimensions(d, horizon, kind)}
     for name, (applies, route) in ROUTES.items():
         if applies(d):
             checks[name] = route(d, kind) == f
@@ -218,7 +217,8 @@ def run_compute(args) -> int:
     if args.method == "springer":
         print(_emit_result(d, args, f))
         return 0
-    checks = _method_all_checks(d, kind, f, args.truncate)
+    horizon = args.truncate if args.truncate is not None else DEFAULT_TRUNCATE
+    checks = _route_checks(d, kind, f, horizon)
     print(_emit_result(d, args, f, checks))
     if not all(checks.values()):
         bad = ", ".join(name for name, ok in checks.items() if not ok)
@@ -239,7 +239,7 @@ def run_golden_check(path: str | None) -> int:
 
 
 def run_crosscheck(max_n: int, max_deg: int, max_m: int, emit=print) -> int:
-    """Compare the independent routes on every small system; 0 iff all agree.
+    """Run the route checks on every small system in both kinds; 0 iff all agree.
 
     A sweep with no system is a usage error, not a pass.
     """
@@ -251,17 +251,8 @@ def run_crosscheck(max_n: int, max_deg: int, max_m: int, emit=print) -> int:
         d = DegreeVector(degs)
         problems = []
         for kind in KINDS:
-            series = poincare_series(d, kind).expand(max_m)
-            routes = {"counting": dimensions(d, max_m, kind)}
-            for name, (applies, route) in ROUTES.items():
-                if applies(d):
-                    routes[name] = route(d, kind).expand(max_m)
-            for name, values in routes.items():
-                mismatch = next(
-                    (m for m in range(max_m + 1) if series[m] != values[m]), None
-                )
-                if mismatch is not None:
-                    problems.append(f"{name} kind={kind} m={mismatch}")
+            checks = _route_checks(d, kind, poincare_series(d, kind), max_m)
+            problems += [f"{name} kind={kind}" for name, ok in checks.items() if not ok]
         label = ",".join(map(str, degs))
         if problems:
             failures += 1

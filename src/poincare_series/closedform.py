@@ -21,13 +21,16 @@ def all_ones(n: int, kind: str) -> RatFun:
     (-1)^(n-k) (n)_(n-k) / ((k-1)! (n-k)!) * (d/dz)^(k-1) of
     (1+z) z^(2n-k-1) / (1-z^2)^(2n-k)        for semi-invariants,
     (z / (1-z^2))^(2n-k-1)                   for invariants.
+
+    Evaluated by Horner's rule in d/dz, acc = acc' + (k-th term) for
+    k = n down to 1: n derivatives in all.
     """
     if n < 1:
         raise ValueError("need n >= 1 forms")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    total = FactoredRatFun(ZERO)
-    for k in range(1, n + 1):
+    acc = FactoredRatFun(ZERO)
+    for k in range(n, 0, -1):
         scale = Fraction(
             (-1) ** (n - k) * pochhammer(n, n - k),
             factorial(k - 1) * factorial(n - k),
@@ -37,10 +40,8 @@ def all_ones(n: int, kind: str) -> RatFun:
             term = FactoredRatFun(Poly([1, 1]) * Poly.monomial(power), {2: power + 1})
         else:
             term = FactoredRatFun(Poly.monomial(power), {2: power} if power else {})
-        for _ in range(k - 1):
-            term = term.derivative()
-        total = total + term * scale
-    return total.to_ratfun()
+        acc = acc.derivative() + term * scale
+    return acc.to_ratfun()
 
 
 def all_twos(n: int, kind: str) -> RatFun:
@@ -52,14 +53,15 @@ def all_twos(n: int, kind: str) -> RatFun:
         sum over i = 0..n-k of C(n-k, i) (n)_i (n)_(n-k-i)
             * z^(2n-k-i-1) / ((1-z)^(n+i) (1-z^2)^(2n-k-i))
 
-    with an extra (1-z) numerator factor for invariants.
+    with an extra (1-z) numerator factor for invariants. As in ``all_ones``,
+    Horner's rule in d/dz takes n derivatives in all.
     """
     if n < 1:
         raise ValueError("need n >= 1 forms")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    total = FactoredRatFun(ZERO)
-    for k in range(1, n + 1):
+    acc = FactoredRatFun(ZERO)
+    for k in range(n, 0, -1):
         scale = Fraction((-1) ** (n - k), factorial(n - k) * factorial(k - 1))
         inner = FactoredRatFun(ZERO)
         for i in range(n - k + 1):
@@ -68,10 +70,8 @@ def all_twos(n: int, kind: str) -> RatFun:
             if kind == "invariants":
                 num = num * Poly([1, -1])
             inner = inner + FactoredRatFun(num, {1: n + i, 2: 2 * n - k - i})
-        for _ in range(k - 1):
-            inner = inner.derivative()
-        total = total + inner * scale
-    return total.to_ratfun()
+        acc = acc.derivative() + inner * scale
+    return acc.to_ratfun()
 
 
 def applicable(d) -> bool:

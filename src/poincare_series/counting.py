@@ -166,27 +166,23 @@ def gamma(d, m: int, k: int) -> int:
     return _gammas(d, m, [k])[0]
 
 
-def _dimension_of_row(span: int, row, kind: str) -> int:
-    # invariants: omega(0) - omega(2); semi-invariants: omega(0) + omega(1)
-    step, sign = (2, -1) if kind == "invariants" else (1, 1)
-    return row[span] + sign * _count(span, row, step)
-
-
 def dimension(d, m: int, kind: str) -> int:
     """Graded dimension in degree m: invariant or semi-invariant count."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
-    return _dimension_of_row(*_omega_row(d, m), kind)
+    return dimensions(d, m, kind)[m]
 
 
 def dimensions(d, horizon: int, kind: str) -> list:
-    """[dimension(d, m, kind) for m in 0..horizon], read off one DP table."""
+    """Graded dimensions in degrees 0..horizon, read off one DP table.
+
+    Invariants count omega(0) - omega(2), semi-invariants omega(0) + omega(1).
+    """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     span, table = _omega_table(as_degree_vector(d).degrees, horizon)
-    return [_dimension_of_row(span, row, kind) for row in table]
+    step, sign = (2, -1) if kind == "invariants" else (1, 1)
+    return [row[span] + sign * _count(span, row, step) for row in table]
 
 
 @dataclass(frozen=True)

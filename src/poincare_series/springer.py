@@ -234,9 +234,8 @@ def single_form_series(d: int, kind: str) -> RatFun:
     prefactor = _PREFACTOR["semiinvariants" if kind == "covariants" else kind]
     total = FactoredRatFun(ZERO)
     for k in range((d + 1) // 2):
-        factors = q_shifted_factorial(2, 2, k)
-        for a, e in q_shifted_factorial(2, 2, d - k).items():
-            factors[a] = factors.get(a, 0) + e
+        # the constructor merges the two factor lists
+        factors = [*q_shifted_factorial(2, 2, k).items(), *q_shifted_factorial(2, 2, d - k).items()]
         num = prefactor * Poly.monomial(k * (k + 1), (-1) ** k)
         total = total + phi_factored(FactoredRatFun(num, factors), d - 2 * k)
     return total.to_ratfun()

@@ -10,8 +10,8 @@ from contextlib import contextmanager
 from math import comb
 
 from poincare_series.algebra import ONE, Poly, RatFun, one_minus_z
+from poincare_series.cli import ROUTES
 from poincare_series.counting import degree_multisets
-from poincare_series.closedform import all_ones, all_twos
 from poincare_series.counting import (
     DegreeVector,
     build_factored_gf,
@@ -99,24 +99,32 @@ def test_criterion_3_oracle_equivalence():
         assert elapsed < 120.0, f"sweep took {elapsed:.2f}s"
 
 
+def assert_routes_agree(systems, name):
+    """Every applicable cli.ROUTES entry equals the operator route on each system.
+
+    The route called name must apply to all of them, so none is skipped.
+    """
+    for degs in systems:
+        d = DegreeVector(degs)
+        applicable = [key for key, (applies, _) in ROUTES.items() if applies(d)]
+        assert name in applicable, (name, degs)
+        for key in applicable:
+            for kind in KINDS:
+                assert ROUTES[key][1](d, kind) == poincare_series(d, kind), (key, degs, kind)
+
+
 def test_criterion_4_closed_forms():
     with criterion(4, "closed forms"):
-        for kind in KINDS:
-            for n in range(1, 8):
-                assert all_ones(n, kind) == poincare_series((1,) * n, kind), (n, kind)
-            for n in range(1, 7):
-                assert all_twos(n, kind) == poincare_series((2,) * n, kind), (n, kind)
+        ones = [(1,) * n for n in range(1, 8)]
+        twos = [(2,) * n for n in range(1, 7)]
+        assert_routes_agree(ones + twos, "closedform")
 
 
 def test_criterion_5_single_form():
     with criterion(5, "single form"):
         assert single_form_series(2, "invariants") == assemble([1], [(2, 1)])
         assert single_form_series(2, "covariants") == assemble([1], [(1, 1), (2, 1)])
-        for d in range(1, 9):
-            assert single_form_series(d, "invariants") == poincare_series((d,), "invariants")
-            assert single_form_series(d, "covariants") == poincare_series(
-                (d,), "semiinvariants"
-            ), d
+        assert_routes_agree([(d,) for d in range(1, 9)], "single-form")
 
 
 def test_criterion_6a_multisection_suite():

@@ -445,6 +445,27 @@ class TestNoKroneckerForBinomials:
         capsys.readouterr()
 
 
+class TestClosedFormsByHorner:
+    """sum_k c_k D^(k-1) T_k takes n derivatives, not one chain per k."""
+
+    @pytest.mark.parametrize("name", ["all_ones", "all_twos"])
+    @pytest.mark.parametrize("kind", ["invariants", "semiinvariants"])
+    def test_at_most_n_derivatives(self, monkeypatch, name, kind):
+        from poincare_series import closedform
+
+        calls = []
+        derivative = FactoredRatFun.derivative
+
+        def counted(self):
+            calls.append(1)
+            return derivative(self)
+
+        monkeypatch.setattr(FactoredRatFun, "derivative", counted)
+        n = 6
+        getattr(closedform, name)(n, kind)
+        assert len(calls) <= n, len(calls)
+
+
 class TestNoLongDivisionByBinomials:
     """Every quotient by 1 - z^a is a stride prefix sum, never Poly.__divmod__."""
 

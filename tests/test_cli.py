@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from poincare_series import cli
 from poincare_series.algebra import ONE, Poly, RatFun, one_minus_z
 from poincare_series.cli import format_factored, format_reduced, greedy_factor, main
 from poincare_series.counting import degree_multisets
@@ -229,6 +230,34 @@ class TestCrosscheckCommand:
         assert len(sweep) == 17
         assert (2, 2, 1) in sweep
         assert (3, 2, 1) not in sweep  # needs nine variables, over the budget of eight
+
+
+class TestBrokenRoute:
+    """A route that disagrees is reported by name and exits 2, in both commands."""
+
+    @pytest.fixture(params=sorted(cli.ROUTES))
+    def broken(self, request, monkeypatch):
+        applies, _ = cli.ROUTES[request.param]
+        # P(0) = 1 for every series, so the constant 2 never agrees
+        wrong = RatFun(Poly([2]), ONE)
+        monkeypatch.setitem(cli.ROUTES, request.param, (applies, lambda d, kind: wrong))
+        return request.param
+
+    def test_method_all_reports_mismatch(self, capsys, broken):
+        # (1,) is both a single form and an all-ones system
+        rc, out, err = run(capsys, "--d", "1", "--method", "all")
+        assert rc == 2
+        assert f"check {broken}: MISMATCH" in out.splitlines()
+        assert "check counting: ok" in out.splitlines()
+        assert err == f"verification failure: {broken}\n"
+
+    def test_crosscheck_names_failing_route(self, capsys, broken):
+        rc, out, _ = run(capsys, "crosscheck", "--max-n", "4", "--max-deg", "3")
+        assert rc == 2
+        lines = out.splitlines()
+        assert f"FAIL  d=1  ({broken} kind=invariants; {broken} kind=semiinvariants)" in lines
+        assert any(line.startswith("PASS") for line in lines)
+        assert not lines[-1].endswith(" 0 failures")
 
 
 class TestFormattingHelpers:

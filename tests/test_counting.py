@@ -160,7 +160,15 @@ class TestGammaAndDimension:
         for degs in degree_multisets(8, 4):
             for kind in ("invariants", "semiinvariants"):
                 for horizon in (0, 1, 10):
-                    expected = [dimension(degs, m, kind) for m in range(horizon + 1)]
+                    # the definition: omega(0) - omega(2), or omega(0) + omega(1)
+                    if kind == "invariants":
+                        expected = [
+                            omega(degs, m, 0) - omega(degs, m, 2) for m in range(horizon + 1)
+                        ]
+                    else:
+                        expected = [
+                            omega(degs, m, 0) + omega(degs, m, 1) for m in range(horizon + 1)
+                        ]
                     assert dimensions(degs, horizon, kind) == expected, (degs, kind, horizon)
 
     def test_degree_zero_dimension(self):
