@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add, index, sub
+from operator import add, index, mul, sub
 
 
 def _coeff(value) -> Fraction:
@@ -549,19 +549,27 @@ class RatFun:
         return f"RatFun({self.num.to_string()!r}, {self.den.to_string()!r})"
 
     def expand(self, n: int) -> list:
-        """Power series coefficients at z = 0 through z^n inclusive."""
+        """Power series coefficients at z = 0 through z^n inclusive, as Fractions.
+
+        On the numerators N of num and D of den, with d0 = D_0, the integers
+        w_m = N_m d0^m - sum_j D_j w_(m-j) d0^(j-1) give coefficient m as
+        den.denom w_m / (num.denom d0^(m+1)); route results have d0 = +-1.
+        """
         if n < 0:
             raise ValueError("negative truncation order")
-        d0 = self.den[0]
+        nums, dens = self.num.ints, self.den.ints
+        d0, k = dens[0], len(dens) - 1
         if not d0:
             raise ValueError("not a power series at the origin")
-        out = []
-        dcs = self.den.coeffs
+        # D_j d0^(j-1) for j = k..1 pairs with w_(m-k..m-1); k zeros stand for w_(<0)
+        weights = [dens[j] * d0 ** (j - 1) for j in range(k, 0, -1)]
+        w, out, power = [0] * k, [], 1
         for m in range(n + 1):
-            acc = self.num[m]
-            for j in range(1, min(m, len(dcs) - 1) + 1):
-                acc -= dcs[j] * out[m - j]
-            out.append(acc / d0)
+            x = nums[m] * power if m < len(nums) else 0
+            x -= sum(map(mul, weights, w[m:]))
+            w.append(x)
+            power *= d0
+            out.append(Fraction(self.den.denom * x, self.num.denom * power))
         return out
 
 

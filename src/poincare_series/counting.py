@@ -6,7 +6,8 @@ number of degree-m monomials of a prescribed total weight counts the
 lattice points of a transportation-type polytope, and differences of
 those counts give the graded dimensions of the invariant and
 semi-invariant algebras (equivalently, of the kernel and the image
-closure of the associated Weitzenboeck derivation).
+closure of the associated Weitzenboeck derivation). One dynamic program
+gives the counts, each row packed into a big integer of one digit per weight.
 """
 
 from __future__ import annotations
@@ -99,60 +100,46 @@ def build_factored_gf(d) -> dict:
     return beta
 
 
-def _omega_table(degrees: tuple, m: int) -> tuple:
-    """Counts of degree-k monomials for every k = 0..m and every reachable weight.
+def _packed_rows(d, horizon: int) -> tuple:
+    """(d*, bits, rows): digit e of rows[k] counts degree-k monomials of weight k*d* - e.
 
-    Returns (offset, rows) with rows[k][w + offset] the number of
-    monomials of degree k and total weight w. Classic unbounded-knapsack
-    dynamic program: each variable adds (degree 1, its weight) any number
-    of times.
+    A variable of weight w adds row k - 1, shifted by d* - w digits of ``bits``
+    bits, to row k (Kronecker substitution). No digit carries: 2^bits exceeds
+    C(horizon + N - 1, N - 1), which bounds every count of monomials in N variables.
     """
-    d = DegreeVector(degrees)
-    span = m * d.d_star
-    width = 2 * span + 1
-    table = [[0] * width for _ in range(m + 1)]
-    table[0][span] = 1
-    for w in d.weights():
-        for deg in range(1, m + 1):
-            prev = table[deg - 1]
-            cur = table[deg]
-            lo = max(0, w)
-            hi = min(width, width + w)
-            for idx in range(lo, hi):
-                c = prev[idx - w]
-                if c:
-                    cur[idx] += c
-    return span, table
-
-
-def _omega_row(d, m: int) -> tuple:
-    """Row m of ``_omega_table``, as (offset, counts); m must be nonnegative."""
-    if m < 0:
+    if horizon < 0:
         raise ValueError("degree must be nonnegative")
-    span, table = _omega_table(as_degree_vector(d).degrees, m)
-    return span, table[m]
+    d = as_degree_vector(d)
+    bits = comb(horizon + d.variable_count - 1, horizon).bit_length()
+    rows = [1] + [0] * horizon
+    for w in d.weights():
+        shift = bits * (d.d_star - w)
+        for k in range(1, horizon + 1):
+            rows[k] += rows[k - 1] << shift
+    return d.d_star, bits, rows
 
 
-def _count(span: int, row, i: int) -> int:
-    idx = i + span
-    return row[idx] if 0 <= idx < len(row) else 0
+def _digit(row: int, bits: int, e: int) -> int:
+    """Digit e of a packed row; a negative index reads 0."""
+    return (row >> (bits * e)) & ((1 << bits) - 1) if e >= 0 else 0
 
 
 def omega(d, m: int, i: int) -> int:
     """Number of monomials of total degree m and weight i in the system's variables."""
-    return _count(*_omega_row(d, m), i)
+    s, bits, rows = _packed_rows(d, m)
+    return _digit(rows[m], bits, m * s - i)
 
 
 def _gammas(d, m: int, ks) -> list:
-    """gamma(d, m, k) for every k in ks, read off one row.
+    """gamma(d, m, k) for every k >= 0 in ks, read off one packed row.
 
     Always nonnegative; a negative difference can only come from a
     counting bug, so it is raised, never returned.
     """
-    span, row = _omega_row(d, m)
+    s, bits, rows = _packed_rows(d, m)
     out = []
     for k in ks:
-        value = _count(span, row, k) - _count(span, row, k + 2)
+        value = _digit(rows[m], bits, m * s - k) - _digit(rows[m], bits, m * s - k - 2)
         if value < 0:
             raise RuntimeError(
                 f"negative multiplicity gamma_{m}({d}; {k}); counting is inconsistent"
@@ -163,6 +150,8 @@ def _gammas(d, m: int, ks) -> list:
 
 def gamma(d, m: int, k: int) -> int:
     """Multiplicity of the weight-k isotypic piece in degree m: omega(k) - omega(k+2)."""
+    if k < 0:
+        raise ValueError("isotypic weight k must be nonnegative")
     return _gammas(d, m, [k])[0]
 
 
@@ -172,17 +161,19 @@ def dimension(d, m: int, kind: str) -> int:
 
 
 def dimensions(d, horizon: int, kind: str) -> list:
-    """Graded dimensions in degrees 0..horizon, read off one DP table.
+    """Graded dimensions in degrees 0..horizon, read off one set of packed rows.
 
-    Invariants count omega(0) - omega(2), semi-invariants omega(0) + omega(1).
+    Invariants count omega(0) - omega(2), semi-invariants omega(0) + omega(1):
+    in row k, digit k*d* minus digit k*d* - 2, or digit k*d* plus digit k*d* - 1.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    span, table = _omega_table(as_degree_vector(d).degrees, horizon)
+    s, bits, rows = _packed_rows(d, horizon)
     step, sign = (2, -1) if kind == "invariants" else (1, 1)
-    return [row[span] + sign * _count(span, row, step) for row in table]
+    return [
+        _digit(row, bits, k * s) + sign * _digit(row, bits, k * s - step)
+        for k, row in enumerate(rows)
+    ]
 
 
 @dataclass(frozen=True)

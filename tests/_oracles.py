@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Everything here avoids the library's own fast paths: series come from
-plain convolution, weight counts from brute-force enumeration, operator
+plain convolution or a Fraction recurrence, weight counts from
+brute-force enumeration or a list dynamic program, operator
 values from truncated double series. Slow but obviously correct.
 """
 
@@ -21,6 +22,49 @@ def enumerate_omega(degrees, m, i):
         if sum(combo) == i:
             count += 1
     return count
+
+
+def ref_omega_table(degrees, m):
+    """Counts of degree-k monomials for every k = 0..m and every reachable weight.
+
+    Returns (offset, rows) with rows[k][w + offset] the number of
+    monomials of degree k and total weight w. Classic unbounded-knapsack
+    dynamic program on lists: each variable adds (degree 1, its weight)
+    any number of times.
+    """
+    d = as_degree_vector(degrees)
+    span = m * d.d_star
+    width = 2 * span + 1
+    table = [[0] * width for _ in range(m + 1)]
+    table[0][span] = 1
+    for w in d.weights():
+        for deg in range(1, m + 1):
+            prev = table[deg - 1]
+            cur = table[deg]
+            for idx in range(max(0, w), min(width, width + w)):
+                c = prev[idx - w]
+                if c:
+                    cur[idx] += c
+    return span, table
+
+
+def ref_count(span, row, i):
+    """Entry of weight i in a row of ``ref_omega_table``; 0 outside the row."""
+    idx = i + span
+    return row[idx] if 0 <= idx < len(row) else 0
+
+
+def ref_expand(f, n):
+    """Series coefficients of a RatFun through z^n by the Fraction recurrence."""
+    d0 = f.den[0]
+    dcs = f.den.coeffs
+    out = []
+    for m in range(n + 1):
+        acc = f.num[m]
+        for j in range(1, min(m, len(dcs) - 1) + 1):
+            acc -= dcs[j] * out[m - j]
+        out.append(acc / d0)
+    return out
 
 
 def convolve(a, b, n):

@@ -21,13 +21,17 @@ from poincare_series.algebra import (
     q_block,
     q_shifted_factorial,
 )
+from poincare_series.springer import poincare_series
 
-from _oracles import factored_series, ratfun_add, ratfun_derivative
+from _oracles import factored_series, ratfun_add, ratfun_derivative, ref_expand
 
 small_polys = st.builds(
     Poly, st.lists(st.integers(min_value=-5, max_value=5), max_size=6)
 )
 nonzero_polys = small_polys.filter(bool)
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+# constant terms away from +-1, negative ones included, so d0^m grows in the recurrence
+constant_terms = st.sampled_from([-3, -2, Fraction(-1, 2), Fraction(2, 3), 2, Fraction(7, 4)])
 
 
 class TestRational:
@@ -182,6 +186,25 @@ class TestRatFun:
     def test_expand_requires_unit_constant_term(self):
         with pytest.raises(ValueError):
             RatFun(ONE, Poly([0, 1])).expand(3)
+
+    @given(
+        st.lists(fractions, max_size=6),
+        constant_terms,
+        st.lists(fractions, max_size=5),
+        st.integers(min_value=0, max_value=20),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_expand_matches_fraction_recurrence(self, num, d0, den_tail, n):
+        f = RatFun(Poly(num), Poly([d0] + den_tail))
+        series = f.expand(n)
+        assert series == ref_expand(f, n)
+        assert all(type(c) is Fraction for c in series)
+
+    def test_expand_route_results_match_fraction_recurrence(self):
+        for degs, n in (((4, 5, 6, 7), 120), ((30,), 100), ((1, 2, 3), 60)):
+            for kind in ("invariants", "semiinvariants"):
+                f = poincare_series(degs, kind)
+                assert f.expand(n) == ref_expand(f, n), (degs, kind)
 
     @given(small_polys, nonzero_polys)
     @settings(deadline=None, max_examples=40)
@@ -464,6 +487,25 @@ class TestClosedFormsByHorner:
         n = 6
         getattr(closedform, name)(n, kind)
         assert len(calls) <= n, len(calls)
+
+
+class TestNoFractionSeries:
+    """Series output runs on integers: the recurrence does no Fraction arithmetic."""
+
+    def test_long_series_without_fraction_arithmetic(self, monkeypatch, capsys):
+        from poincare_series import cli, springer
+
+        f = springer.poincare_series((4, 5, 6, 7), "semiinvariants")
+
+        def forbidden(*args):
+            raise AssertionError("Fraction arithmetic in series output")
+
+        for name in ("__mul__", "__sub__", "__truediv__"):
+            monkeypatch.setattr(Fraction, name, forbidden)
+        assert len(f.expand(500)) == 501
+        argv = ["--d", "4,5,6,7", "--format", "series", "--truncate", "500"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
 
 
 class TestNoLongDivisionByBinomials:

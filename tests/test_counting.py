@@ -2,9 +2,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poincare_series import counting
 from poincare_series.counting import (
     DegreeVector,
     as_degree_vector,
@@ -18,7 +19,7 @@ from poincare_series.counting import (
 )
 from poincare_series.springer import poincare_series
 
-from _oracles import enumerate_omega, generating_function_biseries
+from _oracles import enumerate_omega, generating_function_biseries, ref_count, ref_omega_table
 
 degree_tuples = st.lists(
     st.integers(min_value=1, max_value=4), min_size=1, max_size=4
@@ -143,6 +144,16 @@ class TestGammaAndDimension:
                 for k in range(m * d.d_star + 1):
                     assert gamma(d, m, k) >= 0
 
+    def test_negative_weight_is_a_usage_error(self, monkeypatch):
+        # once a RuntimeError claiming that counting was inconsistent
+        def no_counting(*args):
+            raise AssertionError("counting ran for an invalid weight")
+
+        monkeypatch.setattr(counting, "_packed_rows", no_counting)
+        for degs, m, k in (((2,), 2, -2), ((3, 1), 1, -1)):
+            with pytest.raises(ValueError):
+                gamma(degs, m, k)
+
     def test_dimension_known(self):
         assert dimension((2,), 2, "invariants") == 1
         assert dimension((1, 1), 2, "semiinvariants") == 4
@@ -191,3 +202,35 @@ class TestMultiplicityTable:
     def test_entries_cover_all_weights(self):
         table = multiplicity_table((2,), 3)
         assert [k for k, _ in table.entries] == list(range(7))
+
+
+def assert_dimensions_match(degs, horizon):
+    """dimensions in both kinds equal omega(0) -/+ omega(2)/omega(1) of the list table."""
+    span, table = ref_omega_table(degs, horizon)
+    for kind, step, sign in (("invariants", 2, -1), ("semiinvariants", 1, 1)):
+        expected = [row[span] + sign * ref_count(span, row, step) for row in table]
+        assert dimensions(degs, horizon, kind) == expected, (degs, horizon, kind)
+    return span, table
+
+
+class TestPackedRowsMatchListTable:
+    """The packed-row kernel against the list dynamic program of the tests' oracles."""
+
+    @given(st.sampled_from(degree_multisets(8, 4)), st.sampled_from((0, 1, 10)))
+    @example((1,), 1)  # d* = 1: no digit of weight 2 in row 1
+    @example((1, 1, 1), 10)
+    @example((4, 2, 1), 0)
+    @settings(deadline=None, max_examples=60)
+    def test_counts(self, degs, horizon):
+        span, table = assert_dimensions_match(degs, horizon)
+        row = table[horizon]
+        for i in range(-span - 3, span + 4):
+            assert omega(degs, horizon, i) == ref_count(span, row, i), (degs, horizon, i)
+        gammas = [ref_count(span, row, k) - ref_count(span, row, k + 2) for k in range(span + 4)]
+        assert [gamma(degs, horizon, k) for k in range(span + 4)] == gammas, (degs, horizon)
+        entries = multiplicity_table(degs, horizon).entries
+        assert entries == tuple(enumerate(gammas[: span + 1]))
+
+    @pytest.mark.parametrize("degs, horizon", [((1,) * 12, 40), ((30,), 100)])
+    def test_long_horizons(self, degs, horizon):
+        assert_dimensions_match(degs, horizon)
