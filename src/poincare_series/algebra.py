@@ -8,18 +8,18 @@ shifted once per term and added, O(degree); packing would cost more than
 that product. Any other product packs both numerator lists into single
 big integers (Kronecker substitution) and lets the interpreter's
 big-integer multiply do the convolution. A quotient by 1 - z^a is the
-stride-a prefix sum of the numerators (``Poly.over_binomial``); only
-other divisors take long division. On top of that sit reduced
-rational functions, plus a factored representation that keeps the
-denominator as a multiset of (1 - z^a) factors so that multisection,
-differentiation and cancellation can work factor by factor without ever
-expanding a large product.
+stride-a prefix sum of the numerators (``_binomial_passes``). On top of
+that sit reduced rational functions, plus a factored representation that
+keeps the denominator as a multiset of (1 - z^a) factors so that
+multisection, differentiation and cancellation can work factor by factor
+without ever expanding a large product.
 
-Results are reduced in the cyclotomic basis: prod (1 - z^a)^e is, up to
-sign, prod_n Phi_n^(c_n) with c_n = sum of e over the a divisible by n, and
-the Phi_n are irreducible and pairwise coprime, so ``to_ratfun`` cancels
-by exact division by each Phi_n and computes no gcd. ``poly_gcd``
-(Euclid over Q, inside the ``RatFun`` constructor) remains the general
+Results are reduced in the cyclotomic basis: prod (1 - z^a)^e is
+prod_n Psi_n^(c_n) with c_n = sum of e over the a divisible by n, where
+Psi_n = prod over d | n of (1 - z^d)^mu(n/d) is Phi_n up to sign. The Phi_n
+are irreducible and pairwise coprime, so ``to_ratfun`` cancels each by
+exact binomial passes and computes no gcd. Long division and ``poly_gcd``
+(Euclid over Q, inside the ``RatFun`` constructor) remain the general
 route and the tests' reference.
 """
 
@@ -74,13 +74,6 @@ def _kronecker_mul(a, b) -> list:
     ]
 
 
-def _sparse_terms(ints):
-    """The nonzero terms (k, c) of ints when there are at most two, else None."""
-    if len(ints) - ints.count(0) > 2:
-        return None
-    return [(k, c) for k, c in enumerate(ints) if c]
-
-
 def _shifted_sum(terms, ints) -> list:
     """Sum over the terms (k, c) of c * ints shifted by k: the product by a sparse factor."""
     (k, c), *rest = terms
@@ -96,6 +89,15 @@ def _shifted_sum(terms, ints) -> list:
         else:
             out[k : k + width] = [x + c * y for x, y in zip(window, ints)]
     return out
+
+
+def _int_mul(a, b) -> list:
+    """Product of two int sequences with a nonzero term each: shifted adds or Kronecker."""
+    if len(b) - b.count(0) > 2:
+        a, b = b, a
+    if len(b) - b.count(0) > 2:
+        return _kronecker_mul(a, b)
+    return _shifted_sum([(k, c) for k, c in enumerate(b) if c], a)
 
 
 def _times_binomial(ints: list, a: int) -> None:
@@ -117,6 +119,23 @@ def _prefix_sums(ints: list, a: int) -> None:
     else:
         for k in range(a, len(ints), a):
             ints[k : k + a] = map(add, ints[k : k + a], ints[k - a : k])
+
+
+def _binomial_passes(ints, times, over) -> "list | None":
+    """ints * prod (1 - z^a) over ``times`` / prod (1 - z^a) over ``over``, or None if inexact.
+
+    The products come first, so every quotient, a stride-a prefix sum whose
+    last a sums must vanish, is exact iff the whole quotient is a polynomial.
+    """
+    out = list(ints)
+    for a in times:
+        _times_binomial(out, a)
+    for a in over:
+        _prefix_sums(out, a)
+        if any(out[-a:]):
+            return None
+        del out[-a:]
+    return out
 
 
 class Poly:
@@ -236,17 +255,9 @@ class Poly:
             )
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.ints, other.ints
-        if not a or not b:
+        if not self.ints or not other.ints:
             return ZERO
-        denom = self.denom * other.denom
-        terms = _sparse_terms(b)
-        if terms is None:
-            a, b = b, a
-            terms = _sparse_terms(b)
-        if terms is None:
-            return Poly._from_ints(_kronecker_mul(a, b), denom)
-        return Poly._from_ints(_shifted_sum(terms, a), denom)
+        return Poly._from_ints(_int_mul(self.ints, other.ints), self.denom * other.denom)
 
     __rmul__ = __mul__
 
@@ -271,8 +282,7 @@ class Poly:
         numerator is not a multiple of the divisor's, the open part of the
         remainder and the quotient so far are scaled by the missing factor,
         which the final denominators then carry. Each step touches only the
-        divisor's nonzero terms; a quotient by 1 - z^a is cheaper still as
-        ``over_binomial``.
+        divisor's nonzero terms. No route divides this way.
         """
         if not isinstance(other, Poly):
             return NotImplemented
@@ -346,37 +356,24 @@ class Poly:
     def times_block(self, n: int, a: int) -> "Poly":
         """Multiply by the block 1 + z^a + ... + z^(a(n-1)), q_block(n) at z^a.
 
-        A window sum, in O(degree) integer additions: the stride-a prefix
-        sum of the numerators (the quotient by 1 - z^a) minus itself
-        shifted by a*n (the product by 1 - z^(an)).
+        The block is (1 - z^(an)) / (1 - z^a): a shifted difference and a
+        stride-a prefix sum, O(degree) integer additions.
         """
         if n < 1 or a < 1:
             raise ValueError("a block needs n >= 1 and a >= 1")
         if n == 1 or self.is_zero():
             return self
-        width = a * n
-        out = list(self.ints) + [0] * (width - a)
-        _prefix_sums(out, a)
-        # the right side is built in full before the slice is assigned, so
-        # it reads the prefix sums, not the window sums
-        out[width:] = map(sub, out[width:], out)
-        return Poly._from_ints(out, self.denom)
+        return Poly._from_ints(_binomial_passes(self.ints, (a * n,), (a,)), self.denom)
 
     def over_binomial(self, a: int) -> "Poly | None":
         """The quotient by 1 - z^a if the division is exact, else None.
 
-        q = self / (1 - z^a) has q_k = self_k + q_(k-a): its numerators are
-        the stride-a prefix sums of self's, and the division is exact iff
-        the last a sums, above the quotient's degree, are zero.
+        q_k = self_k + q_(k-a): the numerators' stride-a prefix sums.
         """
         if a < 1:
             raise ValueError("over_binomial needs a >= 1")
-        out = list(self.ints)
-        _prefix_sums(out, a)
-        if any(out[-a:]):
-            return None
-        del out[-a:]
-        return Poly._from_ints(out, self.denom)
+        out = _binomial_passes(self.ints, (), (a,))
+        return None if out is None else Poly._from_ints(out, self.denom)
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -431,10 +428,7 @@ def q_block(n: int) -> Poly:
 
 def _times_binomials(num: Poly, factors) -> Poly:
     """num * prod over (a, e) of (1 - z^a)^e, one shifted pass per unit of e."""
-    out = list(num.ints)
-    for a, e in factors:
-        for _ in range(e):
-            _times_binomial(out, a)
+    out = _binomial_passes(num.ints, [a for a, e in factors for _ in range(e)], ())
     return Poly._from_ints(out, num.denom) if len(out) > len(num.ints) else num
 
 
@@ -467,20 +461,31 @@ def _divisors(n: int) -> list:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def _moebius_binomials(n: int):
+    """The d | n with mu(n/d) = +1, then those with mu(n/d) = -1.
+
+    Moebius inversion of 1 - z^n = prod over d | n of Psi_d gives
+    Psi_n = prod (1 - z^d)^mu(n/d): Phi_n for n > 1, and 1 - z = -Phi_1.
+    """
+    split, m, p = [(n, 1)], n, 2
+    while m > 1:
+        if m % p == 0:
+            split += [(d // p, -s) for d, s in split]
+            while m % p == 0:
+                m //= p
+        p += 1
+    return [d for d, s in split if s > 0], [d for d, s in split if s < 0]
+
+
 def cyclotomics(orders) -> dict:
     """The cyclotomic polynomial Phi_d for every divisor d of every n in ``orders``.
 
-    Built bottom-up over divisors: Phi_n is z^n - 1 divided exactly by
-    Phi_d for each proper divisor d of n. Every Phi_n is a monic integer
-    polynomial.
+    Each is +-Psi_n (``_moebius_binomials``), a monic integer polynomial.
     """
-    need = sorted({d for n in orders for d in _divisors(n)})
     phi: dict[int, Poly] = {}
-    for n in need:
-        p = Poly._from_ints([-1] + [0] * (n - 1) + [1])
-        for d in _divisors(n)[:-1]:
-            p = p.divexact(phi[d])
-        phi[n] = p
+    for n in sorted({d for n in orders for d in _divisors(n)}):
+        ints = _binomial_passes([1], *_moebius_binomials(n))
+        phi[n] = Poly._from_ints(ints if n > 1 else [-c for c in ints])
     return phi
 
 
@@ -490,10 +495,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     The general route, used by the ``RatFun`` constructor and as the
     tests' reference; ``FactoredRatFun.to_ratfun`` reduces without it.
     """
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, (a % b).monic()
-    return a.monic()
+    while not q.is_zero():
+        p, q = q, (p % q).monic()
+    return p.monic()
 
 
 def cross_equal(num1: Poly, den1: Poly, num2: Poly, den2: Poly) -> bool:
@@ -656,46 +660,42 @@ class FactoredRatFun:
 
     def reduced(self) -> "FactoredRatFun":
         """Cancel every (1 - z^a) factor that divides the numerator exactly."""
-        if self.num.is_zero():
-            return FactoredRatFun(ZERO)
-        num = self.num
-        remaining: dict[int, int] = {}
+        num, remaining = self.num.ints, {}
         for a, e in sorted(self.factors, reverse=True):
-            while e > 0:
-                q = num.over_binomial(a)
-                if q is None:
-                    break
+            while e and (q := _binomial_passes(num, (), (a,))) is not None:
                 num, e = q, e - 1
             if e:
                 remaining[a] = e
-        return FactoredRatFun(num, remaining)
+        return FactoredRatFun(Poly._from_ints(list(num), self.num.denom), remaining)
 
     def to_ratfun(self) -> RatFun:
         """The reduced RatFun of this value, by exact division by cyclotomic polynomials.
 
-        prod (1 - z^a)^e = (-1)^(sum of e) * prod_n Phi_n^(c_n), where c_n
-        sums e over the a that n divides. The Phi_n are irreducible over Q
-        and pairwise coprime, so gcd(num, den) is prod_n Phi_n^min(v_n, c_n),
-        v_n being the multiplicity of Phi_n in num: dividing num by each
-        Phi_n while the division is exact, at most c_n times, leaves it
-        coprime to the monic rest of the denominator. No gcd is computed.
-        Whole (1 - z^a) factors are cancelled first (``reduced``), because
-        dividing by a binomial is cheaper than by its cyclotomic parts.
+        prod (1 - z^a)^e = prod_n Psi_n^(c_n), where c_n sums e over the a
+        that n divides and Psi_n = +-Phi_n (``_moebius_binomials``). The
+        Phi_n are irreducible over Q and pairwise coprime, so dividing num
+        by each Psi_n while the division is exact, at most c_n times, leaves
+        it coprime to the rest of the denominator; no gcd is computed. A
+        quotient by Psi_n multiplies by its binomials with mu = -1 and then
+        divides by those with mu = +1, and is exact iff every pass is. Whole
+        (1 - z^a) factors are cancelled first (``reduced``): one pass each.
         """
         slim = self.reduced()
         counts: dict[int, int] = {}
         for a, e in slim.factors:
             for n in _divisors(a):
                 counts[n] = counts.get(n, 0) + e
-        phi = cyclotomics(counts)
-        num, den = slim.num, ONE
+        num, times, over = slim.num.ints, [], []
         for n, c in counts.items():
-            while c:
-                q, r = divmod(num, phi[n])
-                if not r.is_zero():
-                    break
+            plus, minus = _moebius_binomials(n)
+            while c and (q := _binomial_passes(num, minus, plus)) is not None:
                 num, c = q, c - 1
-            if c:
-                den = den * phi[n] ** c
-        sign = -1 if sum(e for _, e in slim.factors) % 2 else 1
-        return RatFun._from_reduced(num * sign, den)
+            times += plus * c
+            over += minus * c
+        den = _binomial_passes([1], times, over)
+        # the leftover prod Psi_n^(c_n) is monic up to sign
+        sign = den[-1]
+        return RatFun._from_reduced(
+            Poly._from_ints([sign * c for c in num], slim.num.denom),
+            Poly._from_ints([sign * c for c in den]),
+        )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from math import gcd, lcm
 
 from .algebra import Poly, RatFun
@@ -263,6 +264,8 @@ def run_crosscheck(max_n: int, max_deg: int, max_m: int, emit=print) -> int:
     return 2 if failures else 0
 
 
+# argparse keeps no state between parses, so one parser serves every request
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     parser = _Parser(prog="poincare-series", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")

@@ -2,11 +2,11 @@
 
 Pipeline: decompose the weight-shifted generating function
 prod_e (1 - t z^e)^(-beta_e) into partial fractions over t, reading the
-coefficients at each pole t = z^(-i) off one binomial series in
-u = 1 - t z^i (see ``partial_fractions``), then apply the diagonal
-operator pole by pole. The terms A_{i,k}/(1 - t z^i)^k, k = 1..beta_i,
-contribute, depending on how the pole exponent i compares with the
-shift n = d*:
+coefficients at each pole t = z^(-i) off a product of binomial series in
+u = 1 - t z^i by its log-derivative recurrence (see ``partial_fractions``),
+then apply the diagonal operator pole by pole. The terms
+A_{i,k}/(1 - t z^i)^k, k = 1..beta_i, contribute, depending on how the
+pole exponent i compares with the shift n = d*:
 
     i < n   ->  phi_m( sum_k C(theta/m + k - 1, k - 1) R_k ),  m = n - i
     i = n   ->  sum_k R_k(0) / (1 - z)^k
@@ -33,15 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, prod
+from math import comb, gcd
 
 from .algebra import (
-    ONE,
     ZERO,
     FactoredRatFun,
     Poly,
     RatFun,
-    one_minus_z,
+    _binomial_passes,
+    _int_mul,
     q_shifted_factorial,
 )
 from .counting import KINDS, as_degree_vector, build_factored_gf
@@ -62,6 +62,61 @@ class PFD:
     terms: tuple
 
 
+def _binomial_row(beta: int, top: int) -> list:
+    """C(beta + j - 1, j) for j = 0..top: the v^j coefficients of (1 - v)^(-beta)."""
+    return [comb(beta + j - 1, j) for j in range(top + 1)] if beta else [1] + [0] * top
+
+
+def _add_scaled(acc: list, ints, c: int, k: int = 0) -> None:
+    """acc += c z^k ints, in place on numerator lists."""
+    if c:
+        acc += [0] * (k + len(ints) - len(acc))
+        acc[k : k + len(ints)] = [x + c * y for x, y in zip(acc[k : k + len(ints)], ints)]
+
+
+def _pole_series(below: dict, above: dict, top: int) -> list:
+    """S_0..S_top, the v^r coefficients of prod (1 - y v)^(-beta) at one pole.
+
+    ``below`` and ``above`` map the distance m of each other exponent on
+    that side to its beta; ``partial_fractions`` gives the recurrence.
+    """
+    series = [[1]]
+    dists = sorted({*below, *above})
+    if not top:
+        # a simple pole needs neither L nor any x_m
+        return series
+    if len(dists) == 1:
+        # L = 1 - z^m, so x_m = 1 and S is a product of binomial series in v and -z^m v
+        (m,) = dists
+        lo, hi = _binomial_row(below.get(m, 0), top), _binomial_row(above.get(m, 0), top)
+        for r in range(1, top + 1):
+            s_r = [0] * (m * r + 1)
+            s_r[::m] = [lo[r - j] * hi[j] * (-1) ** j for j in range(r + 1)]
+            series.append(s_r)
+        return series
+    # sums[j] is P_j
+    sums = [[] for _ in range(top + 1)]
+    cover = _binomial_passes([1], dists, ())
+    for m in dists:
+        x = _binomial_passes(cover, (), (m,))
+        if x is None:
+            raise ArithmeticError(f"1 - z^{m} does not divide the cover L")
+        power = [1]
+        for j in range(1, top + 1):
+            power = _int_mul(power, x)
+            _add_scaled(sums[j], power, below.get(m, 0))
+            _add_scaled(sums[j], power, (-1) ** j * above.get(m, 0), m * j)
+    for r in range(1, top + 1):
+        acc: list = []
+        for j in range(1, r + 1):
+            if any(sums[j]) and any(series[r - j]):
+                _add_scaled(acc, _int_mul(sums[j], series[r - j]), 1)
+        if any(c % r for c in acc):
+            raise ArithmeticError(f"r S_r is not divisible by r = {r}")
+        series.append([c // r for c in acc])
+    return series
+
+
 def partial_fractions(exponents: dict) -> PFD:
     """Decompose prod_e (1 - t z^e)^(-beta_e) into sum A_{i,k}/(1 - t z^i)^k.
 
@@ -73,51 +128,35 @@ def partial_fractions(exponents: dict) -> PFD:
                                       * (1 - u/(1 - z^m))^(-beta)
 
     and A_{i, beta_i - r} is the u^r coefficient of their product. With
-    u = v L, L the product of the distinct (1 - z^m), each series becomes
-    sum_j C(beta + j - 1, j) x_e^j v^j for the polynomial x_e = L/(1 - z^m)
-    (e < i) or -z^m L/(1 - z^m) (e > i). So A_{i, beta_i - r} is the sign
-    and z-power above times the integer polynomial [v^r] of the product,
-    over prod_m (1 - z^m)^(B_m + r), B_m the sum of beta_e at distance m.
-    Every k = 1..beta_i is emitted, zero coefficients included.
+    u = v L, L the product of the distinct (1 - z^m), and the integer
+    polynomial x_m = L/(1 - z^m), the product is
+    S(v) = prod_e (1 - y_e v)^(-beta_e) with y_e = x_m below the pole and
+    y_e = -z^m x_m above it. Its log-derivative gives the recurrence
+
+        r S_r = sum_{j=1..r} P_j S_(r-j),
+        P_j = sum_m x_m^j (beta_(i-m) + beta_(i+m) (-z^m)^j),
+
+    in which the division by r is exact, on integer lists: #m * top powers
+    and top^2/2 products for top = beta_i - 1. When every other exponent
+    sits at one distance m, x_m = 1 and S_r is read off the two binomial
+    series directly. A_{i, beta_i - r} is the sign and z-power above times
+    S_r, over prod_m (1 - z^m)^(B_m + r), B_m the sum of beta_e at distance
+    m. Every k = 1..beta_i is emitted, zero coefficients included.
     """
     if not exponents:
         raise ValueError("empty exponent map")
     terms = []
     for i in sorted(exponents):
         top = exponents[i] - 1
-        others = {e: beta for e, beta in exponents.items() if e != i}
-        base: dict[int, int] = {}
-        shift = flips = 0
-        for e, beta in others.items():
-            base[abs(e - i)] = base.get(abs(e - i), 0) + beta
-            if e < i:
-                shift, flips = shift + (i - e) * beta, flips + beta
-        # series[r] is the v^r coefficient; a simple pole needs only r = 0,
-        # so it builds neither L (`cover`) nor any x_e
-        series = [ONE] + [ZERO] * top
-        if top:
-            cover = prod(map(one_minus_z, base), start=ONE)
-            for e, beta in others.items():
-                m = abs(e - i)
-                x = cover.over_binomial(m)
-                if x is None:
-                    raise ArithmeticError(f"1 - z^{m} does not divide the cover L")
-                if e > i:
-                    x = x * Poly.monomial(m, -1)
-                binomial, power = [ONE], ONE
-                for j in range(1, top + 1):
-                    power = power * x
-                    binomial.append(power * comb(beta + j - 1, j))
-                # descending r, so series[r - j] is still the old coefficient;
-                # zeros (all but r = 0 before the first factor) are skipped
-                for r in range(top, 0, -1):
-                    for j in range(1, r + 1):
-                        if series[r - j]:
-                            series[r] = series[r] + series[r - j] * binomial[j]
-        lead = Poly.monomial(shift, (-1) ** flips)
+        below = {i - e: beta for e, beta in exponents.items() if e < i}
+        above = {e - i: beta for e, beta in exponents.items() if e > i}
+        base = {m: below.get(m, 0) + above.get(m, 0) for m in {*below, *above}}
+        shift = sum(m * beta for m, beta in below.items())
+        sign = (-1) ** sum(below.values())
+        series = _pole_series(below, above, top)
         for r in range(top, -1, -1):
-            factors = {m: b + r for m, b in base.items()}
-            terms.append((i, top + 1 - r, FactoredRatFun(lead * series[r], factors)))
+            num = Poly._from_ints([0] * shift + [sign * c for c in series[r]])
+            terms.append((i, top + 1 - r, FactoredRatFun(num, {m: b + r for m, b in base.items()})))
     return PFD(max(exponents) // 2, tuple(terms))
 
 

@@ -2,15 +2,16 @@
 
 Everything here avoids the library's own fast paths: series come from
 plain convolution or a Fraction recurrence, weight counts from
-brute-force enumeration or a list dynamic program, operator
-values from truncated double series. Slow but obviously correct.
+brute-force enumeration or a list dynamic program, partial fractions
+from products of binomial series on ``Poly`` objects, operator values
+from truncated double series. Slow but obviously correct.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod
 
-from poincare_series.algebra import FactoredRatFun, Poly, RatFun
+from poincare_series.algebra import ONE, ZERO, FactoredRatFun, Poly, RatFun, one_minus_z
 from poincare_series.counting import as_degree_vector
 
 
@@ -65,6 +66,49 @@ def ref_expand(f, n):
             acc -= dcs[j] * out[m - j]
         out.append(acc / d0)
     return out
+
+
+def ref_partial_fractions(exponents):
+    """The terms (i, k, A_{i,k}) of prod_e (1 - t z^e)^(-beta_e) by binomial series products.
+
+    At the pole t = z^(-i), with u = 1 - t z^i = v L and L the product of
+    the distinct (1 - z^m) over the distances m = |e - i|, every other
+    factor is the series sum_j C(beta + j - 1, j) x_e^j v^j, with
+    x_e = L/(1 - z^m) below the pole and -z^m L/(1 - z^m) above it.
+    A_{i, beta_i - r} is (-1)^(sum of beta below) z^(sum of m beta below)
+    times [v^r] of the product, over prod_m (1 - z^m)^(B_m + r).
+    """
+    terms = []
+    for i in sorted(exponents):
+        top = exponents[i] - 1
+        others = {e: beta for e, beta in exponents.items() if e != i}
+        base = {}
+        shift = flips = 0
+        for e, beta in others.items():
+            base[abs(e - i)] = base.get(abs(e - i), 0) + beta
+            if e < i:
+                shift, flips = shift + (i - e) * beta, flips + beta
+        series = [ONE] + [ZERO] * top
+        if top:
+            cover = prod(map(one_minus_z, base), start=ONE)
+            for e, beta in others.items():
+                m = abs(e - i)
+                x = cover.over_binomial(m)
+                if e > i:
+                    x = x * Poly.monomial(m, -1)
+                binomial, power = [ONE], ONE
+                for j in range(1, top + 1):
+                    power = power * x
+                    binomial.append(power * comb(beta + j - 1, j))
+                # descending r, so series[r - j] is still the old coefficient
+                for r in range(top, 0, -1):
+                    for j in range(1, r + 1):
+                        series[r] = series[r] + series[r - j] * binomial[j]
+        lead = Poly.monomial(shift, (-1) ** flips)
+        for r in range(top, -1, -1):
+            factors = {m: b + r for m, b in base.items()}
+            terms.append((i, top + 1 - r, FactoredRatFun(lead * series[r], factors)))
+    return terms
 
 
 def convolve(a, b, n):

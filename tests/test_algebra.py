@@ -522,3 +522,15 @@ class TestNoLongDivisionByBinomials:
         monkeypatch.setattr(Poly, "__divmod__", guarded)
         run_every_route()
         capsys.readouterr()
+
+
+class TestNoLongDivision:
+    """Every quotient on every route, by 1 - z^a or by Phi_n, is a binomial pass."""
+
+    def test_routes_never_divmod(self, monkeypatch, capsys):
+        def forbidden(p, q):
+            raise AssertionError(f"long division by {q!r}")
+
+        monkeypatch.setattr(Poly, "__divmod__", forbidden)
+        run_every_route()
+        capsys.readouterr()

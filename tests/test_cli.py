@@ -182,6 +182,33 @@ class TestUsageErrors:
         assert "--max-m must be nonnegative" in err
 
 
+class TestParserReuse:
+    """main builds its parser once; a failed parse leaves nothing behind in it."""
+
+    SEQUENCES = [
+        [("--d", "2", "--format", "series"), ("--d", "2", "--kind", "nope"), ("--d", "1,1")],
+        [("--d", "1,2", "--format", "json"), ("--no-such-flag",), ("--d", "1,2", "--format", "json")],
+        [("--d", "3", "--truncate", "4"), ("--d", "3", "--truncate", "x"), ("--d", "3", "--format", "series")],
+        [("crosscheck", "--max-n", "4"), ("crosscheck", "--max-n", "q"), ("crosscheck", "--max-n", "4")],
+        [("--d", "2"), ("compute",), ("golden-check",)],
+    ]
+
+    @pytest.mark.parametrize("sequence", SEQUENCES)
+    def test_failed_parse_between_good_requests(self, capsys, sequence):
+        cli.build_parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        assert [rc for rc, _, _ in shared] == [0, 1, 0]
+        assert shared[1][2].startswith("usage: poincare-series")
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestGoldenCheckCommand:
     def test_shipped_corpus_passes(self, capsys):
         rc, out, _ = run(capsys, "golden-check")

@@ -37,6 +37,7 @@ from _oracles import (
     psi_diagonal,
     random_factored,
     recombined_biseries,
+    ref_partial_fractions,
 )
 
 
@@ -66,7 +67,39 @@ def exponent_maps():
     return maps
 
 
+def pfd_terms(terms):
+    return [(i, k, a.num, a.factors) for i, k, a in terms]
+
+
+@st.composite
+def single_distance_maps(draw):
+    """Two or three exponents m apart: at each pole the others sit at one distance."""
+    e, m = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    betas = draw(st.lists(st.integers(1, 12), min_size=2, max_size=3))
+    return {e + j * m: beta for j, beta in enumerate(betas)}
+
+
+pfd_exponent_maps = st.one_of(
+    single_distance_maps(),
+    st.dictionaries(st.integers(0, 12), st.integers(1, 12), min_size=1, max_size=4),
+)
+
+
 class TestPartialFractions:
+    @pytest.mark.parametrize(
+        "beta",
+        [{0: n, 2: n} for n in (1, 2, 7, 12)]
+        + [{1: 3}, {0: 12, 3: 12, 6: 12}]
+        + [build_factored_gf(d) for d in [(2,) * 14, (1, 2, 3, 4, 5), (10, 10), (4, 5, 6, 7)]],
+    )
+    def test_matches_binomial_series_reference(self, beta):
+        assert pfd_terms(partial_fractions(beta).terms) == pfd_terms(ref_partial_fractions(beta))
+
+    @given(pfd_exponent_maps)
+    @settings(deadline=None, max_examples=120)
+    def test_matches_binomial_series_reference_on_random_maps(self, beta):
+        assert pfd_terms(partial_fractions(beta).terms) == pfd_terms(ref_partial_fractions(beta))
+
     def test_single_linear_form(self):
         pfd = partial_fractions(build_factored_gf((1,)))
         assert pfd.d_star == 1
