@@ -200,8 +200,6 @@ class Poly:
         return bool(self.ints)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
         return self.ints == other.ints and self.denom == other.denom

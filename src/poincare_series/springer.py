@@ -17,7 +17,8 @@ multisection (keep every m-th coefficient). Below the shift each term is
 1/(k-1)! (d/dz)^(k-1) [z^(k-1) phi_m(R_k)] = C(theta + k - 1, k - 1) phi_m(R_k),
 and theta phi_m = phi_m theta/m, so one pole needs one multisection. The
 prefactor is 1 + z for the semi-invariant series and 1 - z^2 for the
-invariant one.
+invariant one. ``poincare_series`` sums only i < n: beta_0 >= 1 puts z^(i beta_0)
+in every A_{i,k} with i >= 1, so R_k(0) = 0 and the other two cases vanish.
 
 Everything stays in the factored-denominator representation: the
 multisection of R(z)/prod(1 - z^a) multiplies the numerator by the
@@ -145,6 +146,9 @@ def partial_fractions(exponents: dict) -> PFD:
     """
     if not exponents:
         raise ValueError("empty exponent map")
+    for e, beta in exponents.items():
+        if beta < 1:
+            raise ValueError(f"multiplicity beta_{e} = {beta} must be >= 1")
     terms = []
     for i in sorted(exponents):
         top = exponents[i] - 1
@@ -235,15 +239,12 @@ def _poincare_cached(degrees: tuple, kind: str) -> RatFun:
     # the terms come ordered by (i, k), k = 1..beta_i, so poles[i][k - 1] is R_k
     poles: dict[int, list] = {}
     for i, _, a_ik in pfd.terms:
-        poles.setdefault(i, []).append(a_ik * prefactor)
-    total = FactoredRatFun(ZERO)
-    for i, r_funs in poles.items():
+        # beta_0 >= 1 puts z^(i beta_0) in every A_{i,k}, so R_k(0) = 0 and the
+        # psi terms at and above the shift, R_k(0)/(1 - z)^k and R_k(0), vanish
         if i < d.d_star:
-            total = total + _below_shift(r_funs, d.d_star - i)
-        else:
-            for k, r_fun in enumerate(r_funs, start=1):
-                total = total + psi_term_factored(i, k, r_fun, d.d_star)
-    return total.to_ratfun()
+            poles.setdefault(i, []).append(a_ik * prefactor)
+    terms = (_below_shift(r_funs, d.d_star - i) for i, r_funs in poles.items())
+    return sum(terms, FactoredRatFun(ZERO)).to_ratfun()
 
 
 def poincare_series(d, kind: str) -> RatFun:

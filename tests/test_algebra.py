@@ -452,6 +452,21 @@ class TestNoGcdOnHotPath:
         capsys.readouterr()
 
 
+class TestOnlyPolesBelowTheShift:
+    """The operator route sums the poles below the shift alone; the psi terms at
+    and above it are zero and are never computed."""
+
+    def test_routes_never_call_psi_term(self, monkeypatch, capsys):
+        from poincare_series import springer
+
+        def forbidden(i, k, r_fun, n):
+            raise AssertionError(f"psi term at pole {i} of shift {n} on the route")
+
+        monkeypatch.setattr(springer, "psi_term_factored", forbidden)
+        run_every_route()
+        capsys.readouterr()
+
+
 class TestNoKroneckerForBinomials:
     """Every product with a one- or two-term operand is a shifted add."""
 

@@ -241,6 +241,14 @@ class TestCanonicalForm:
         # the hash of the coefficient tuple, as when coefficients were Fractions
         assert hash(p) == hash(tuple(strip(a)))
 
+    def test_never_equals_a_number(self):
+        # equality with a number could not agree with the hash, which is the
+        # hash of the coefficient tuple
+        half = Fraction(1, 2)
+        for p, c in ((Poly([3]), 3), (Poly([3]), Fraction(3)), (Poly([half]), half), (Poly(), 0)):
+            assert p != c and c != p
+            assert len({p, c}) == 2
+
     def test_float_coefficient_rejected(self):
         with pytest.raises(TypeError):
             Poly([1, 0.5])

@@ -166,6 +166,26 @@ class TestPartialFractions:
         with pytest.raises(ValueError):
             partial_fractions({})
 
+    @pytest.mark.parametrize("beta", [{0: 0}, {0: 0, 1: 2}, {0: -1, 1: 1}])
+    def test_multiplicity_below_one_rejected(self, beta):
+        # a zero or negative beta_e is not a pole: reject it, naming the exponent
+        with pytest.raises(ValueError, match="beta_0"):
+            partial_fractions(beta)
+
+    @pytest.mark.parametrize(
+        "d", list(degree_multisets(12, 6)) + [(1, 2, 3), (20,), (4, 5, 6, 7), (10, 10), (2,) * 14]
+    )
+    def test_terms_at_and_above_the_shift_vanish_at_the_origin(self, d):
+        # what lets poincare_series sum only the poles below the shift: with
+        # beta_0 >= 1 every A_{i,k} with i >= d* is a multiple of z, so its psi
+        # terms R_k(0)/(1 - z)^k and R_k(0) are zero
+        beta = build_factored_gf(d)
+        assert beta.get(0, 0) >= 1
+        pfd = partial_fractions(beta)
+        at_or_above = [(i, k, a) for i, k, a in pfd.terms if i >= pfd.d_star]
+        assert at_or_above
+        assert [(i, k) for i, k, a in at_or_above if a.num[0] != 0] == []
+
 
 class TestPhi:
     def test_identity_at_one(self):
