@@ -21,30 +21,19 @@ from math import gcd, lcm
 from .algebra import Poly, RatFun
 from .closedform import applicable as closedform_applicable
 from .closedform import for_degree_vector as closedform_series
-from .counting import KINDS, DegreeVector, degree_multisets, dimensions
+from .counting import KIND_CHOICES, KINDS, DegreeVector, canonical_kind, degree_multisets, dimensions
 from .golden import CorpusError, check_corpus, shipped_corpus_path
 from .springer import poincare_series, single_form_series
 
-KIND_CHOICES = ("invariants", "semiinvariants", "covariants", "kernel")
 METHOD_CHOICES = ("springer", "counting", "closedform", "all")
 FORMAT_CHOICES = ("reduced", "factored", "series", "json")
 DEFAULT_TRUNCATE = 10
 
-# covariants and the derivation kernel are the semi-invariant algebra
-def canonical_kind(kind: str) -> str:
-    return "invariants" if kind == "invariants" else "semiinvariants"
-
-
 # the exact routes checked against the operator route, after counting and
-# in this order: name -> (applies to d, series for d and a canonical kind)
+# in this order: name -> (applies to d, series for d and a kind)
 ROUTES = {
     "closedform": (closedform_applicable, closedform_series),
-    "single-form": (
-        lambda d: d.size == 1,
-        lambda d, kind: single_form_series(
-            d.d_star, "invariants" if kind == "invariants" else "covariants"
-        ),
-    ),
+    "single-form": (lambda d: d.size == 1, single_form_series),
 }
 
 
@@ -180,11 +169,10 @@ def _emit_result(d: DegreeVector, args, f: RatFun, checks=None) -> str:
     return body
 
 
-def _run_counting(d: DegreeVector, args) -> str:
+def _run_counting(d: DegreeVector, args, kind: str) -> str:
     if args.format in ("reduced", "factored"):
         raise UsageError("method=counting produces series output only; use --format series or json")
     truncate = args.truncate if args.truncate is not None else DEFAULT_TRUNCATE
-    kind = canonical_kind(args.kind)
     dims = dimensions(d, truncate, kind)
     if args.format == "series":
         return _ints_text(dims)
@@ -206,7 +194,7 @@ def run_compute(args) -> int:
     d = _parse_degrees(args.d)
     kind = canonical_kind(args.kind)
     if args.method == "counting":
-        print(_run_counting(d, args))
+        print(_run_counting(d, args, kind))
         return 0
     if args.method == "closedform":
         applies, route = ROUTES["closedform"]
@@ -231,7 +219,7 @@ def run_compute(args) -> int:
 def run_golden_check(path: str | None) -> int:
     corpus_path = path if path is not None else shipped_corpus_path()
     try:
-        with open(corpus_path, encoding="utf-8") as handle:
+        with open(corpus_path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read corpus: {exc}") from None

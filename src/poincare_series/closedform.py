@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .algebra import ZERO, FactoredRatFun, Poly, RatFun, pochhammer
-from .counting import KINDS, as_degree_vector
+from .counting import as_degree_vector, canonical_kind
 
 
 def all_ones(n: int, kind: str) -> RatFun:
@@ -27,8 +27,7 @@ def all_ones(n: int, kind: str) -> RatFun:
     """
     if n < 1:
         raise ValueError("need n >= 1 forms")
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
+    kind = canonical_kind(kind)
     acc = FactoredRatFun(ZERO)
     for k in range(n, 0, -1):
         scale = Fraction(
@@ -58,8 +57,7 @@ def all_twos(n: int, kind: str) -> RatFun:
     """
     if n < 1:
         raise ValueError("need n >= 1 forms")
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
+    kind = canonical_kind(kind)
     acc = FactoredRatFun(ZERO)
     for k in range(n, 0, -1):
         scale = Fraction((-1) ** (n - k), factorial(n - k) * factorial(k - 1))

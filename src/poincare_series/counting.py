@@ -8,6 +8,8 @@ those counts give the graded dimensions of the invariant and
 semi-invariant algebras (equivalently, of the kernel and the image
 closure of the associated Weitzenboeck derivation). One dynamic program
 gives the counts, each row packed into a big integer of one digit per weight.
+``canonical_kind`` decides, for every route, which of the two series a kind
+names.
 """
 
 from __future__ import annotations
@@ -16,7 +18,18 @@ from dataclasses import dataclass
 from math import comb
 from operator import index
 
+# the two series; the corpus format's kind field takes these names only
 KINDS = ("invariants", "semiinvariants")
+# the accepted spellings: covariants and the derivation kernel are the
+# semi-invariant algebra
+KIND_CHOICES = ("invariants", "semiinvariants", "covariants", "kernel")
+
+
+def canonical_kind(kind: str) -> str:
+    """The series a kind names, one of KINDS; ValueError outside KIND_CHOICES."""
+    if kind not in KIND_CHOICES:
+        raise ValueError(f"kind must be one of {KIND_CHOICES}")
+    return "invariants" if kind == "invariants" else "semiinvariants"
 
 
 @dataclass(frozen=True)
@@ -166,10 +179,8 @@ def dimensions(d, horizon: int, kind: str) -> list:
     Invariants count omega(0) - omega(2), semi-invariants omega(0) + omega(1):
     in row k, digit k*d* minus digit k*d* - 2, or digit k*d* plus digit k*d* - 1.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
+    step, sign = (2, -1) if canonical_kind(kind) == "invariants" else (1, 1)
     s, bits, rows = _packed_rows(d, horizon)
-    step, sign = (2, -1) if kind == "invariants" else (1, 1)
     return [
         _digit(row, bits, k * s) + sign * _digit(row, bits, k * s - step)
         for k, row in enumerate(rows)

@@ -45,7 +45,7 @@ from .algebra import (
     _int_mul,
     q_shifted_factorial,
 )
-from .counting import KINDS, as_degree_vector, build_factored_gf
+from .counting import as_degree_vector, build_factored_gf, canonical_kind
 
 
 @dataclass(frozen=True)
@@ -252,26 +252,27 @@ def poincare_series(d, kind: str) -> RatFun:
 
     The semi-invariant algebra is isomorphic to the covariant algebra and
     to the kernel of the associated Weitzenboeck derivation, so this one
-    function covers all three readings.
+    function covers all three readings: kind is any spelling that
+    ``counting.canonical_kind`` accepts, and the cache is keyed on the series.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
+    kind = canonical_kind(kind)
     return _poincare_cached(as_degree_vector(d).degrees, kind)
 
 
-def single_form_series(d: int, kind: str) -> RatFun:
+def single_form_series(d, kind: str) -> RatFun:
     """Poincare series for a single form of degree d by the q-factorial sum.
 
-    Sum over 0 <= k < d/2 of
+    d is a form degree or a one-form system, kind any spelling that
+    ``poincare_series`` takes. Sum over 0 <= k < d/2 of
     phi_{d-2k}( (-1)^k z^(k(k+1)) * prefactor / ((z^2;z^2)_k (z^2;z^2)_{d-k}) )
-    with prefactor 1 - z^2 for invariants and 1 + z for covariants. The
+    with prefactor 1 - z^2 for invariants and 1 + z for semi-invariants. The
     bound is strict: k = d/2 would call the undefined phi_0.
     """
-    if d < 1:
-        raise ValueError("form degree must be >= 1")
-    if kind not in ("invariants", "covariants"):
-        raise ValueError("kind must be 'invariants' or 'covariants'")
-    prefactor = _PREFACTOR["semiinvariants" if kind == "covariants" else kind]
+    system = as_degree_vector(d)
+    if system.size != 1:
+        raise ValueError(f"single_form_series takes one form, not the system {system}")
+    d = system.d_star
+    prefactor = _PREFACTOR[canonical_kind(kind)]
     total = FactoredRatFun(ZERO)
     for k in range((d + 1) // 2):
         # the constructor merges the two factor lists

@@ -225,6 +225,15 @@ class TestGoldenCheckCommand:
         assert out == ""
         assert err == "poincare-series: error: corpus contains no records\n"
 
+    def test_corpus_with_byte_order_mark(self, tmp_path, capsys):
+        p = tmp_path / "bom.txt"
+        record = "d=2; kind=invariants; num=1; den=(2,1); sign_insensitive=false\n"
+        p.write_text(record, encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        rc, out, err = run(capsys, "golden-check", str(p))
+        assert (rc, err) == (0, "")
+        assert [line for line in out.splitlines() if line.startswith("PASS")] == ["PASS  d=2 kind=invariants"]
+
     def test_perturbed_record_fails(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
         p.write_text("d=2; kind=invariants; num=2; den=(2,1); sign_insensitive=false\n")

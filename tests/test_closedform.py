@@ -65,7 +65,7 @@ class TestRequestApi:
         with pytest.raises(ValueError):
             for_degree_vector((3, 3), "invariants")
         with pytest.raises(ValueError):
-            all_ones(2, "covariants")
+            all_ones(2, "coinvariants")
 
     def test_evaluate_routes(self):
         assert for_degree_vector((1, 1, 1), "semiinvariants") == all_ones(3, "semiinvariants")

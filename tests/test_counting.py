@@ -160,9 +160,9 @@ class TestGammaAndDimension:
 
     def test_dimension_kind_validation(self):
         with pytest.raises(ValueError):
-            dimension((2,), 2, "covariants")
+            dimension((2,), 2, "coinvariants")
         with pytest.raises(ValueError):
-            dimensions((2,), 2, "covariants")
+            dimensions((2,), 2, "coinvariants")
         with pytest.raises(ValueError):
             dimensions((2,), -1, "invariants")
 

@@ -63,3 +63,17 @@ def test_caches_are_bounded():
             if name == "cache" or id(node) not in bounded
         ]
     assert found == []
+
+
+def test_kind_names_decided_in_counting_only():
+    # counting.canonical_kind is the one place that maps a kind to its series,
+    # so no other module spells the names of the semi-invariant series' aliases
+    spelled, defined = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Constant) and node.value in ("covariants", "kernel"):
+                spelled.add(path.name)
+            elif isinstance(node, ast.FunctionDef) and node.name == "canonical_kind":
+                defined.add(path.name)
+    assert spelled == {"counting.py"}
+    assert defined == {"counting.py"}

@@ -339,7 +339,7 @@ class TestPoincareSeries:
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
-            poincare_series((1,), "covariants")
+            poincare_series((1,), "coinvariants")
 
     def test_cache_is_bounded_and_hit(self):
         info = _poincare_cached.cache_info()
@@ -421,7 +421,7 @@ class TestSingleForm:
         with pytest.raises(ValueError):
             single_form_series(0, "invariants")
         with pytest.raises(ValueError):
-            single_form_series(2, "semiinvariants")
+            single_form_series(2, "coinvariants")
 
 
 class TestPfdType:
