@@ -45,33 +45,41 @@ def _bias(count: int, width: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def _pack(ints, width: int, half: int) -> int:
-    """The signed integer sum of ints[i] * 2^(8*width*i); every |ints[i]| < half."""
+def _width(bound: int) -> int:
+    """Bytes per packed digit: room for any signed coefficient of absolute value <= bound."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _pack(ints, width: int) -> int:
+    """The polynomial ints at z = 2^(8*width), when every |ints[i]| < 2^(8*width - 1)."""
+    half = 1 << (8 * width - 1)
     digits = b"".join([(c + half).to_bytes(width, "little") for c in ints])
     return int.from_bytes(digits, "little") - _bias(len(ints), width)
 
 
+def _unpack(value: int, size: int, width: int) -> list:
+    """The ``size`` signed digits of ``value``, the inverse of ``_pack``.
+
+    Adding half to every digit makes each one nonnegative, so no borrow
+    crosses a digit boundary and one ``to_bytes`` splits them all.
+    """
+    half = 1 << (8 * width - 1)
+    buf = (value + _bias(size, width)).to_bytes(size * width, "little")
+    return [int.from_bytes(buf[i : i + width], "little") - half for i in range(0, size * width, width)]
+
+
 def _kronecker_mul(a, b) -> list:
-    """Convolution of two nonempty int sequences by Kronecker substitution.
+    """Convolution of two int sequences with a nonzero term each, by Kronecker substitution.
 
     Each sequence becomes one integer with a digit of ``width`` bytes per
     coefficient, the two integers are multiplied once, and the product's
     digits are read back. The width leaves room for the largest possible
-    product coefficient and its sign; adding ``half`` to every digit
-    before unpacking makes each digit nonnegative, so no borrow crosses a
-    digit boundary.
+    product coefficient and its sign.
     """
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = (bound.bit_length() + 8) // 8
-    half = 1 << (8 * width - 1)
-    x = _pack(a, width, half)
-    y = x if b is a else _pack(b, width, half)
-    size = len(a) + len(b) - 1
-    buf = (x * y + _bias(size, width)).to_bytes(size * width, "little")
-    return [
-        int.from_bytes(buf[i : i + width], "little") - half
-        for i in range(0, size * width, width)
-    ]
+    width = _width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+    x = _pack(a, width)
+    y = x if b is a else _pack(b, width)
+    return _unpack(x * y, len(a) + len(b) - 1, width)
 
 
 def _shifted_sum(terms, ints) -> list:

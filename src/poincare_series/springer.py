@@ -4,6 +4,7 @@ Pipeline: decompose the weight-shifted generating function
 prod_e (1 - t z^e)^(-beta_e) into partial fractions over t, reading the
 coefficients at each pole t = z^(-i) off a product of binomial series in
 u = 1 - t z^i by its log-derivative recurrence (see ``partial_fractions``),
+which runs on the polynomials packed into single integers at z = 2^W,
 then apply the diagonal operator pole by pole. The terms
 A_{i,k}/(1 - t z^i)^k, k = 1..beta_i, contribute, depending on how the
 pole exponent i compares with the shift n = d*:
@@ -42,7 +43,9 @@ from .algebra import (
     Poly,
     RatFun,
     _binomial_passes,
-    _int_mul,
+    _pack,
+    _unpack,
+    _width,
     q_shifted_factorial,
 )
 from .counting import as_degree_vector, build_factored_gf, canonical_kind
@@ -52,8 +55,9 @@ from .counting import as_degree_vector, build_factored_gf, canonical_kind
 class PFD:
     """Partial fraction decomposition over t of the shifted generating function.
 
-    terms holds (i, k, A) for every pole exponent i and every power
-    k = 1..beta_i, ordered by (i, k); A is the coefficient of
+    terms holds (i, k, A) for every pole exponent i (below the shift, when
+    ``partial_fractions`` is given one) and every power k = 1..beta_i,
+    ordered by (i, k); A is the coefficient of
     1/(1 - t z^i)^k, kept in factored form with an integer numerator.
     Zero coefficients are kept so the term list shape depends only on the
     exponent map.
@@ -68,13 +72,6 @@ def _binomial_row(beta: int, top: int) -> list:
     return [comb(beta + j - 1, j) for j in range(top + 1)] if beta else [1] + [0] * top
 
 
-def _add_scaled(acc: list, ints, c: int, k: int = 0) -> None:
-    """acc += c z^k ints, in place on numerator lists."""
-    if c:
-        acc += [0] * (k + len(ints) - len(acc))
-        acc[k : k + len(ints)] = [x + c * y for x, y in zip(acc[k : k + len(ints)], ints)]
-
-
 def _pole_series(below: dict, above: dict, top: int) -> list:
     """S_0..S_top, the v^r coefficients of prod (1 - y v)^(-beta) at one pole.
 
@@ -83,9 +80,9 @@ def _pole_series(below: dict, above: dict, top: int) -> list:
     """
     series = [[1]]
     dists = sorted({*below, *above})
-    if not top:
-        # a simple pole needs neither L nor any x_m
-        return series
+    if not top or not dists:
+        # a simple pole needs neither L nor any x_m; with no other exponent, S = 1
+        return series + [[]] * top
     if len(dists) == 1:
         # L = 1 - z^m, so x_m = 1 and S is a product of binomial series in v and -z^m v
         (m,) = dists
@@ -95,30 +92,38 @@ def _pole_series(below: dict, above: dict, top: int) -> list:
             s_r[::m] = [lo[r - j] * hi[j] * (-1) ** j for j in range(r + 1)]
             series.append(s_r)
         return series
-    # sums[j] is P_j
-    sums = [[] for _ in range(top + 1)]
     cover = _binomial_passes([1], dists, ())
-    for m in dists:
-        x = _binomial_passes(cover, (), (m,))
-        if x is None:
-            raise ArithmeticError(f"1 - z^{m} does not divide the cover L")
-        power = [1]
-        for j in range(1, top + 1):
-            power = _int_mul(power, x)
-            _add_scaled(sums[j], power, below.get(m, 0))
-            _add_scaled(sums[j], power, (-1) ** j * above.get(m, 0), m * j)
+    # the l1 majorants of partial_fractions: t[r] of S_r, u of L and every r S_r
+    scale, weight = 1 << len(dists) - 1, sum(below.values()) + sum(above.values())
+    t, u = [1], 0
     for r in range(1, top + 1):
-        acc: list = []
-        for j in range(1, r + 1):
-            if any(sums[j]) and any(series[r - j]):
-                _add_scaled(acc, _int_mul(sums[j], series[r - j]), 1)
-        if any(c % r for c in acc):
+        total = weight * sum(scale**j * t[r - j] for j in range(1, r + 1))
+        t.append(-(-total // r))
+        u = max(u, total)
+    width = _width(u // 2)
+    bits = 8 * width
+    # evaluated at z = 2^bits: lifted is L, sums[j] is P_j and packed[r] is S_r
+    lifted = _pack(cover, width)
+    sums = [0] * (top + 1)
+    for m in dists:
+        # x_m = L / (1 - z^m) exactly, so its value is an exact integer quotient
+        y, power = lifted // (1 - (1 << bits * m)), 1
+        for j in range(1, top + 1):
+            power *= y
+            sums[j] += below.get(m, 0) * power + ((-1) ** j * above.get(m, 0) * power << bits * m * j)
+    packed = [1]
+    for r in range(1, top + 1):
+        acc = sum(sums[j] * packed[r - j] for j in range(1, r + 1))
+        # deg S_r <= r deg L; every digit is checked, so acc // r is exact
+        digits = _unpack(acc, r * (len(cover) - 1) + 1, width)
+        if any(c % r for c in digits):
             raise ArithmeticError(f"r S_r is not divisible by r = {r}")
-        series.append([c // r for c in acc])
+        series.append([c // r for c in digits])
+        packed.append(acc // r)
     return series
 
 
-def partial_fractions(exponents: dict) -> PFD:
+def partial_fractions(exponents: dict, shift: "int | None" = None) -> PFD:
     """Decompose prod_e (1 - t z^e)^(-beta_e) into sum A_{i,k}/(1 - t z^i)^k.
 
     At the pole t = z^(-i) put u = 1 - t z^i and, for every other exponent
@@ -137,12 +142,21 @@ def partial_fractions(exponents: dict) -> PFD:
         r S_r = sum_{j=1..r} P_j S_(r-j),
         P_j = sum_m x_m^j (beta_(i-m) + beta_(i+m) (-z^m)^j),
 
-    in which the division by r is exact, on integer lists: #m * top powers
-    and top^2/2 products for top = beta_i - 1. When every other exponent
-    sits at one distance m, x_m = 1 and S_r is read off the two binomial
-    series directly. A_{i, beta_i - r} is the sign and z-power above times
-    S_r, over prod_m (1 - z^m)^(B_m + r), B_m the sum of beta_e at distance
-    m. Every k = 1..beta_i is emitted, zero coefficients included.
+    in which the division by r is exact. It runs on the polynomials
+    evaluated at z = 2^W, single integers: L is packed once per pole, x_m is
+    the exact quotient L(2^W) / (1 - 2^(W m)), z^(m j) is a left shift, and
+    r S_r is unpacked once, to check that r divides every coefficient, so
+    S_r(2^W) is the exact quotient by r. W is whole bytes with room for
+    every coefficient of L and of every r S_r: ||x_m||_1 <= 2^(#m - 1), so
+    ||P_j||_1 <= p_j = 2^((#m - 1) j) sum_(e != i) beta_e, T_0 = 1 and
+    T_r = ceil(sum_j p_j T_(r-j) / r) bound ||S_r||_1, and no coefficient
+    exceeds half of these l1 bounds, as L and every r S_r vanish at z = 1.
+    When every other exponent sits at one distance m, x_m = 1 and S_r is
+    read off the two binomial series directly. A_{i, beta_i - r} is the
+    sign and z-power above times S_r, over prod_m (1 - z^m)^(B_m + r), B_m
+    the sum of beta_e at distance m. Every k = 1..beta_i is emitted, zero
+    coefficients included, for every pole i, or for the poles i < shift
+    alone when a shift is given.
     """
     if not exponents:
         raise ValueError("empty exponent map")
@@ -151,15 +165,17 @@ def partial_fractions(exponents: dict) -> PFD:
             raise ValueError(f"multiplicity beta_{e} = {beta} must be >= 1")
     terms = []
     for i in sorted(exponents):
+        if shift is not None and i >= shift:
+            break
         top = exponents[i] - 1
         below = {i - e: beta for e, beta in exponents.items() if e < i}
         above = {e - i: beta for e, beta in exponents.items() if e > i}
         base = {m: below.get(m, 0) + above.get(m, 0) for m in {*below, *above}}
-        shift = sum(m * beta for m, beta in below.items())
+        lead = sum(m * beta for m, beta in below.items())
         sign = (-1) ** sum(below.values())
         series = _pole_series(below, above, top)
         for r in range(top, -1, -1):
-            num = Poly._from_ints([0] * shift + [sign * c for c in series[r]])
+            num = Poly._from_ints([0] * lead + [sign * c for c in series[r]])
             terms.append((i, top + 1 - r, FactoredRatFun(num, {m: b + r for m, b in base.items()})))
     return PFD(max(exponents) // 2, tuple(terms))
 
@@ -234,15 +250,14 @@ _CACHE_SIZE = 256
 @lru_cache(maxsize=_CACHE_SIZE)
 def _poincare_cached(degrees: tuple, kind: str) -> RatFun:
     d = as_degree_vector(degrees)
-    pfd = partial_fractions(build_factored_gf(d))
+    # beta_0 >= 1 puts z^(i beta_0) in every A_{i,k}, so R_k(0) = 0 and the
+    # psi terms at and above the shift, R_k(0)/(1 - z)^k and R_k(0), vanish
+    pfd = partial_fractions(build_factored_gf(d), d.d_star)
     prefactor = _PREFACTOR[kind]
     # the terms come ordered by (i, k), k = 1..beta_i, so poles[i][k - 1] is R_k
     poles: dict[int, list] = {}
     for i, _, a_ik in pfd.terms:
-        # beta_0 >= 1 puts z^(i beta_0) in every A_{i,k}, so R_k(0) = 0 and the
-        # psi terms at and above the shift, R_k(0)/(1 - z)^k and R_k(0), vanish
-        if i < d.d_star:
-            poles.setdefault(i, []).append(a_ik * prefactor)
+        poles.setdefault(i, []).append(a_ik * prefactor)
     terms = (_below_shift(r_funs, d.d_star - i) for i, r_funs in poles.items())
     return sum(terms, FactoredRatFun(ZERO)).to_ratfun()
 

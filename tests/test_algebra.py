@@ -467,6 +467,26 @@ class TestOnlyPolesBelowTheShift:
         capsys.readouterr()
 
 
+class TestPfdBelowTheShift:
+    """The operator route decomposes only the poles below the shift."""
+
+    def test_routes_never_decompose_poles_at_or_above_the_shift(self, monkeypatch, capsys):
+        from poincare_series import springer
+
+        decompose = springer.partial_fractions
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(decompose(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(springer, "partial_fractions", recorded)
+        run_every_route()
+        capsys.readouterr()
+        assert results
+        assert [(i, pfd.d_star) for pfd in results for i, _, _ in pfd.terms if i >= pfd.d_star] == []
+
+
 class TestNoKroneckerForBinomials:
     """Every product with a one- or two-term operand is a shifted add."""
 

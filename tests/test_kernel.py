@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poincare_series.algebra import Poly, one_minus_z, q_block
+from poincare_series.algebra import Poly, _kronecker_mul, _pack, _unpack, _width, one_minus_z, q_block
+
+from _oracles import convolve
 
 
 # schoolbook reference on lists of Fractions, ascending exponents
@@ -275,3 +277,66 @@ class TestCanonicalForm:
     def test_inexact_divexact_rejected(self):
         with pytest.raises(ValueError):
             (one_minus_z(3) + Poly([0, 1])).divexact(one_minus_z(2))
+
+
+@st.composite
+def signed_digits(draw):
+    """A width in bytes and digits that fit it, from the edges of the signed range."""
+    width = draw(st.integers(1, 5))
+    half = 1 << (8 * width - 1)
+    digit = st.one_of(
+        st.sampled_from((0, 1, -1, half - 1, -(half - 1), -half)),
+        st.integers(-half, half - 1),
+    )
+    return width, draw(st.lists(digit, max_size=20))
+
+
+# the Kronecker product's operands: int lists with a nonzero coefficient each
+int_coefficients = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.sampled_from(BYTE_EDGES + HALF_EDGES),
+    st.integers(min_value=2**256, max_value=2**300).flatmap(lambda v: st.sampled_from((v, -v))),
+)
+int_lists = st.lists(int_coefficients, min_size=1, max_size=24).filter(any)
+
+
+class TestPackedDigits:
+    """_pack and _unpack, the one Kronecker digit code of the kernel and the PFD."""
+
+    @given(signed_digits())
+    @SETTINGS
+    def test_round_trip(self, case):
+        width, digits = case
+        assert _unpack(_pack(digits, width), len(digits), width) == digits
+
+    @pytest.mark.parametrize(
+        "digits", [[], [0], [5], [-5], [3, -1], [0, 0, -7], [4, 0, 0], [-1, 0, 0, 0], [0, 0, 0]]
+    )
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_round_trip_edges(self, digits, width):
+        # the zero list, one digit, a negative top digit and trailing zeros
+        assert _unpack(_pack(digits, width), len(digits), width) == digits
+        half = 1 << (8 * width - 1)
+        edges = [((c > 0) - (c < 0)) * (half - 1) for c in digits]
+        assert _unpack(_pack(edges, width), len(edges), width) == edges
+
+    def test_pack_is_evaluation(self):
+        # sums, products and shifts of packed values are those of the polynomials
+        a, b, width = [3, -2, 0, 1], [-1, 4], 2
+        base = 1 << 16
+        assert _pack(a, width) == sum(c * base**k for k, c in enumerate(a))
+        assert _unpack(_pack(a, width) * _pack(b, width), 5, width) == [-3, 14, -8, -1, 4]
+        assert _unpack(_pack(b, width) << 32, 4, width) == [0, 0, -1, 4]
+
+    @pytest.mark.parametrize("bound", [0, 1, 126, 127, 128, 255, 256, 2**15 - 1, 2**15, 2**40])
+    def test_width_holds_the_bound(self, bound):
+        width = _width(bound)
+        assert bound < 1 << (8 * width - 1) and (width == 1 or bound >= 1 << (8 * width - 9))
+        digits = [bound, -bound, 0, -bound]
+        assert _unpack(_pack(digits, width), 4, width) == digits
+
+    @given(int_lists, int_lists)
+    @SETTINGS
+    def test_kronecker_matches_convolution(self, a, b):
+        assert _kronecker_mul(a, b) == convolve(a, b, len(a) + len(b) - 2)
+        assert _kronecker_mul(a, a) == convolve(a, a, 2 * len(a) - 2)

@@ -85,15 +85,73 @@ pfd_exponent_maps = st.one_of(
 )
 
 
+# every system of degree sum at most 12 in at most 6 forms, plus ladder anchors
+SHIFT_SYSTEMS = list(degree_multisets(12, 6)) + [(1, 2, 3), (20,), (4, 5, 6, 7), (10, 10), (2,) * 14]
+
+
 class TestPartialFractions:
     @pytest.mark.parametrize(
         "beta",
         [{0: n, 2: n} for n in (1, 2, 7, 12)]
         + [{1: 3}, {0: 12, 3: 12, 6: 12}]
-        + [build_factored_gf(d) for d in [(2,) * 14, (1, 2, 3, 4, 5), (10, 10), (4, 5, 6, 7)]],
+        + [build_factored_gf(d) for d in [(2,) * 14, (1, 2, 3, 4, 5), (10, 10), (4, 5, 6, 7)]]
+        # high multiplicity at many distances: the packed recurrence's widest digits
+        + [build_factored_gf(d) for d in [(2,) * 16, (3,) * 10, (1,) * 20]]
+        + [{0: 16, 3: 16, 7: 16}, {0: 9, 1: 9, 2: 9, 4: 9, 5: 9}]
+        # coefficients of r S_r (198, 176) near their bound (220): a width
+        # one bit short would be one byte, too narrow for them
+        + [{3: 3, 4: 9, 7: 1}, {0: 3, 4: 8, 11: 2}],
     )
     def test_matches_binomial_series_reference(self, beta):
         assert pfd_terms(partial_fractions(beta).terms) == pfd_terms(ref_partial_fractions(beta))
+
+    def test_packs_once_per_pole_and_distance(self, monkeypatch):
+        # the recurrence runs on packed integers: no Kronecker product, and
+        # no more packs than (pole, distance) pairs
+        from poincare_series import algebra, springer
+
+        packs = []
+        pack = algebra._pack
+
+        def counted(ints, width):
+            packs.append(len(ints))
+            return pack(ints, width)
+
+        def forbidden(a, b):
+            raise AssertionError("Kronecker product inside partial_fractions")
+
+        for module in (algebra, springer):
+            monkeypatch.setattr(module, "_pack", counted, raising=False)
+        monkeypatch.setattr(algebra, "_kronecker_mul", forbidden)
+        beta = build_factored_gf((2,) * 12)
+        partial_fractions(beta)
+        pairs = sum(len({abs(e - i) for e in beta if e != i}) for i in beta)
+        assert 0 < len(packs) <= pairs, (packs, pairs)
+
+    def test_inexact_recurrence_rejected(self, monkeypatch):
+        # r S_r is checked digit by digit: a coefficient that r does not divide raises
+        from poincare_series import springer
+
+        unpack = springer._unpack
+
+        def off_by_one(value, size, width):
+            digits = unpack(value, size, width)
+            digits[0] += 1
+            return digits
+
+        monkeypatch.setattr(springer, "_unpack", off_by_one)
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            partial_fractions({0: 3, 1: 1, 2: 1})
+
+    @pytest.mark.parametrize("d", SHIFT_SYSTEMS)
+    def test_shift_keeps_the_poles_below_it(self, d):
+        beta = build_factored_gf(d)
+        full = partial_fractions(beta)
+        below = partial_fractions(beta, full.d_star)
+        assert below.d_star == full.d_star
+        prefix = [t for t in full.terms if t[0] < full.d_star]
+        assert prefix and pfd_terms(below.terms) == pfd_terms(prefix)
+        assert pfd_terms(partial_fractions(beta, None).terms) == pfd_terms(full.terms)
 
     @given(pfd_exponent_maps)
     @settings(deadline=None, max_examples=120)
@@ -172,9 +230,7 @@ class TestPartialFractions:
         with pytest.raises(ValueError, match="beta_0"):
             partial_fractions(beta)
 
-    @pytest.mark.parametrize(
-        "d", list(degree_multisets(12, 6)) + [(1, 2, 3), (20,), (4, 5, 6, 7), (10, 10), (2,) * 14]
-    )
+    @pytest.mark.parametrize("d", SHIFT_SYSTEMS)
     def test_terms_at_and_above_the_shift_vanish_at_the_origin(self, d):
         # what lets poincare_series sum only the poles below the shift: with
         # beta_0 >= 1 every A_{i,k} with i >= d* is a multiple of z, so its psi
