@@ -11,7 +11,7 @@ big-integer multiply do the convolution. A quotient by 1 - z^a is the
 stride-a prefix sum of the numerators (``_binomial_passes``). On top of
 that sit reduced rational functions, plus a factored representation that
 keeps the denominator as a multiset of (1 - z^a) factors so that
-multisection, differentiation and cancellation can work factor by factor
+multisection and cancellation can work factor by factor
 without ever expanding a large product.
 
 Results are reduced in the cyclotomic basis: prod (1 - z^a)^e is
@@ -643,6 +643,8 @@ class FactoredRatFun:
         becomes num' * full + num * rest: full is the product of the distinct
         (1 - z^a), rest the sum over them of e*a*z^(a-1) times the others.
         Both grow one factor at a time, O(k) shifted passes for k factors.
+        No route calls this: pole sums and closed forms take their
+        derivatives on integer lists over one cover (``springer._cover_horner``).
         """
         full, rest = [1], [0]
         for a, e in self.factors:

@@ -21,6 +21,13 @@ prefactor is 1 + z for the semi-invariant series and 1 - z^2 for the
 invariant one. ``poincare_series`` sums only i < n: beta_0 >= 1 puts z^(i beta_0)
 in every A_{i,k} with i >= 1, so R_k(0) = 0 and the other two cases vanish.
 
+The sum over k at one pole runs by Horner's rule before its multisection,
+on integer lists: every R_k there is N_k / (D_0 L^(beta_i - k)), with
+D_0 = prod (1 - z^a)^(B_a) and L the product of the distinct (1 - z^a), so
+each step (theta + c) acc / c stays on one cover that gains one L, and the
+1/c go into one integer denominator (``_cover_horner``, which also runs
+the closed forms of ``closedform``).
+
 Everything stays in the factored-denominator representation: the
 multisection of R(z)/prod(1 - z^a) multiplies the numerator by the
 geometric block of n/gcd(a, n) terms at z^a, which turns each factor into
@@ -33,9 +40,10 @@ the block's span, once per unit of multiplicity; it is never expanded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from itertools import repeat
+from math import comb, gcd, lcm
+from operator import add, mul
 
 from .algebra import (
     ZERO,
@@ -44,6 +52,7 @@ from .algebra import (
     RatFun,
     _binomial_passes,
     _pack,
+    _times_binomial,
     _unpack,
     _width,
     q_shifted_factorial,
@@ -205,18 +214,97 @@ def phi_factored(f: FactoredRatFun, n: int) -> FactoredRatFun:
     return FactoredRatFun(num.multisect(n), factors)
 
 
+def _add_scaled(out: list, shift: int, c: int, ints) -> None:
+    """out += c z^shift ints in place, extending out as needed."""
+    end = shift + len(ints)
+    out += [0] * (end - len(out))
+    window = out[shift:end]
+    if c == 1:
+        out[shift:end] = map(add, window, ints)
+    else:
+        out[shift:end] = map(add, window, map(mul, ints, repeat(c)))
+
+
+def _cover_horner(base: dict, terms, consts=None) -> list:
+    """Numerator of a Horner sum of derivatives on one growing cover, on integer lists.
+
+    base maps each a of the cover to B_a >= 0, D_0 = prod (1 - z^a)^(B_a) and
+    L is the product of the distinct (1 - z^a). With terms = [(w_0, N_0), ...],
+    acc = w_0 N_0 / D_0 and then acc = D_s acc + w_s N_s / (D_0 L^s) for s >= 1,
+    where D_s is d/dz, or theta + consts[s - 1] when consts is given; the
+    result is P with acc = P / (D_0 L^(len(terms) - 1)). As d/dz of
+    P / (D_0 L^j) is (P' L + P (U + j V)) / (D_0 L^(j + 1)), with
+    x_a = L / (1 - z^a), U = sum B_a a z^(a-1) x_a and V = sum a z^(a-1) x_a,
+    a theta step sets P = (c P + z P') L + z P (U + j V) + w_s N_s. Neither L
+    nor U + j V is formed: one pass over the cover takes
+    acc = acc (1 - z^a) + (B_a + j) a z^(a-1) full and full = full (1 - z^a),
+    from acc = c P + z P' (or P') and full = z P (or P): 2 #cover - 1
+    binomial passes and #cover scaled adds per step.
+    """
+    (w, p), *rest = terms
+    p = [w * x for x in p]
+    cover = sorted(base)
+    for j, (w, num) in enumerate(rest):
+        if consts is None:
+            # p is not read again, so full may take it over
+            acc, full = list(map(mul, range(1, len(p)), p[1:])), p
+        else:
+            c = consts[j]
+            acc, full = list(map(mul, range(c, c + len(p)), p)), [0] + p
+        for left, a in enumerate(cover, 1 - len(cover)):
+            _times_binomial(acc, a)
+            _add_scaled(acc, a - 1, (base[a] + j) * a, full)
+            if left:
+                _times_binomial(full, a)
+        if w and num:
+            _add_scaled(acc, 0, w, num)
+        p = acc
+    return p
+
+
+def _pole_base(r_funs) -> "dict | None":
+    """B of one pole: every nonzero R_k is N_k / (D_0 L^(beta - k)); None if all are zero."""
+    beta, base = len(r_funs), None
+    for k in range(beta, 0, -1):
+        r = r_funs[k - 1]
+        if r.is_zero():
+            continue
+        if base is None:
+            base = {a: e - (beta - k) for a, e in r.factors}
+        want = tuple((a, b + beta - k) for a, b in sorted(base.items()) if b + beta - k)
+        if min(base.values(), default=0) < 0 or r.factors != want:
+            raise ValueError(f"R_{k} over {dict(r.factors)} does not share one pole's cover")
+    return base
+
+
 def _below_shift(r_funs, m: int) -> FactoredRatFun:
     """One pole below the shift: phi_m of sum_k C(theta/m + k - 1, k - 1) R_k.
 
-    R_k is r_funs[k - 1]. Horner's rule evaluates the sum before the one
-    multisection: acc = R_beta, then for k = beta down to 2,
-    acc = R_(k-1) + (theta + m(k-1)) acc / (m(k-1)).
+    R_k is r_funs[k - 1]. At a pole each R_k is N_k / (D_0 L^(beta - k)) (see
+    ``partial_fractions``); zero R_k of any form are allowed, and a nonzero one
+    over other factors raises ValueError. Horner's rule sums before the one
+    multisection: acc = R_beta, then acc = R_(k-1) + (theta + c) acc / c with
+    c = m(k - 1) for k = beta down to 2. That is ``_cover_horner`` with the
+    integer weights w_k = prod_(l=k..beta-1) m l over one denominator, prod c
+    times the numerators' common denominator. L, U and V enter only through
+    the steps, so a simple pole takes none and pays nothing for them:
+    building them for every pole made (30,) 0.21 -> 0.35 s in a trial.
     """
-    acc = r_funs[-1]
-    for k in range(len(r_funs), 1, -1):
-        # (theta + c) acc / c = acc + z acc' / c, with c = m(k - 1)
-        acc = acc + acc.derivative() * Poly.monomial(1, Fraction(1, m * (k - 1)))
-        acc = acc + r_funs[k - 2]
+    beta = len(r_funs)
+    if beta == 1:
+        return phi_factored(r_funs[0], m)
+    base = _pole_base(r_funs)
+    if base is None:
+        return FactoredRatFun(ZERO)
+    denom = lcm(*[r.num.denom for r in r_funs])
+    terms, weight = [], 1
+    for k in range(beta, 0, -1):
+        num = r_funs[k - 1].num
+        terms.append((weight, [x * (denom // num.denom) for x in num.ints]))
+        if k > 1:
+            weight *= m * (k - 1)
+    p = _cover_horner(base, terms, [m * (k - 1) for k in range(beta, 1, -1)])
+    acc = FactoredRatFun(Poly._from_ints(p, denom * weight), {a: b + beta - 1 for a, b in base.items()})
     return phi_factored(acc, m)
 
 

@@ -9,10 +9,11 @@ from truncated double series. Slow but obviously correct.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, prod
+from math import comb, factorial, prod
 
-from poincare_series.algebra import ONE, ZERO, FactoredRatFun, Poly, RatFun, one_minus_z
-from poincare_series.counting import as_degree_vector
+from poincare_series.algebra import ONE, ZERO, FactoredRatFun, Poly, RatFun, one_minus_z, pochhammer
+from poincare_series.counting import as_degree_vector, canonical_kind
+from poincare_series.springer import phi_factored
 
 
 def enumerate_omega(degrees, m, i):
@@ -243,3 +244,66 @@ def random_factored(rng, max_num_deg=6, max_factors=3, max_exp=5, max_mult=2):
         factors[a] = factors.get(a, 0) + rng.randint(1, max_mult)
     scale = Fraction(rng.choice([1, 1, 1, -1, 2, -3]), rng.choice([1, 1, 2]))
     return FactoredRatFun(Poly(coeffs) * scale, factors)
+
+
+def ref_below_shift(r_funs, m):
+    """phi_m of sum_k C(theta/m + k - 1, k - 1) R_k by Horner's rule on FactoredRatFun.
+
+    acc = R_beta, then acc = R_(k-1) + acc + z acc' / (m (k - 1)) for
+    k = beta down to 2: every step is a ``FactoredRatFun.derivative`` and
+    two additions over the merged factors.
+    """
+    acc = r_funs[-1]
+    for k in range(len(r_funs), 1, -1):
+        acc = acc + acc.derivative() * Poly.monomial(1, Fraction(1, m * (k - 1)))
+        acc = acc + r_funs[k - 2]
+    return phi_factored(acc, m)
+
+
+def ref_all_ones(n, kind):
+    """The all-ones closed form by Horner's rule in d/dz on FactoredRatFun, Fraction weights."""
+    kind = canonical_kind(kind)
+    acc = FactoredRatFun(ZERO)
+    for k in range(n, 0, -1):
+        scale = Fraction((-1) ** (n - k) * pochhammer(n, n - k), factorial(k - 1) * factorial(n - k))
+        power = 2 * n - k - 1
+        if kind == "semiinvariants":
+            term = FactoredRatFun(Poly([1, 1]) * Poly.monomial(power), {2: power + 1})
+        else:
+            term = FactoredRatFun(Poly.monomial(power), {2: power} if power else {})
+        acc = acc.derivative() + term * scale
+    return acc.to_ratfun()
+
+
+def ref_all_twos(n, kind):
+    """The all-twos closed form by Horner's rule in d/dz on FactoredRatFun, Fraction weights."""
+    kind = canonical_kind(kind)
+    acc = FactoredRatFun(ZERO)
+    for k in range(n, 0, -1):
+        scale = Fraction((-1) ** (n - k), factorial(n - k) * factorial(k - 1))
+        inner = FactoredRatFun(ZERO)
+        for i in range(n - k + 1):
+            c = comb(n - k, i) * pochhammer(n, i) * pochhammer(n, n - k - i)
+            num = Poly.monomial(2 * n - k - i - 1, c)
+            if kind == "invariants":
+                num = num * Poly([1, -1])
+            inner = inner + FactoredRatFun(num, {1: n + i, 2: 2 * n - k - i})
+        acc = acc.derivative() + inner * scale
+    return acc.to_ratfun()
+
+
+def random_pole(rng, beta, max_num_deg=4, max_cover=3, max_exp=5):
+    """R_1..R_beta of one pole: R_k = N_k / prod (1 - z^a)^(B_a + beta - k), B_a >= 1.
+
+    The cover may be empty. Any R_k below the top may be zero; the numerators
+    are small integers over a denominator of 1 or 2.
+    """
+    base = {rng.randint(1, max_exp): rng.randint(1, 3) for _ in range(rng.randint(0, max_cover))}
+    r_funs = []
+    for k in range(1, beta + 1):
+        coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, max_num_deg + 1))]
+        if k == beta and not any(coeffs):
+            coeffs[0] = 1
+        num = Poly(coeffs) * Fraction(1, rng.choice([1, 1, 2]))
+        r_funs.append(FactoredRatFun(num, {a: b + beta - k for a, b in base.items()}))
+    return r_funs

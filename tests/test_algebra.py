@@ -504,24 +504,43 @@ class TestNoKroneckerForBinomials:
 
 
 class TestClosedFormsByHorner:
-    """sum_k c_k D^(k-1) T_k takes n derivatives, not one chain per k."""
+    """sum_k c_k D^(k-1) T_k is one Horner chain of n - 1 steps, not one chain per k."""
 
     @pytest.mark.parametrize("name", ["all_ones", "all_twos"])
     @pytest.mark.parametrize("kind", ["invariants", "semiinvariants"])
     def test_at_most_n_derivatives(self, monkeypatch, name, kind):
         from poincare_series import closedform
 
-        calls = []
-        derivative = FactoredRatFun.derivative
+        steps = []
+        horner = closedform._cover_horner
 
-        def counted(self):
-            calls.append(1)
-            return derivative(self)
+        def counted(base, terms, consts=None):
+            assert consts is None, "the closed forms step in d/dz"
+            steps.append(len(terms) - 1)
+            return horner(base, terms, consts)
 
-        monkeypatch.setattr(FactoredRatFun, "derivative", counted)
+        monkeypatch.setattr(closedform, "_cover_horner", counted)
         n = 6
         getattr(closedform, name)(n, kind)
-        assert len(calls) <= n, len(calls)
+        assert steps == [n - 1], steps
+
+
+class TestNoFactoredDerivative:
+    """No route differentiates a FactoredRatFun: pole sums and closed forms
+    run their Horner steps on integer lists over one cover."""
+
+    def test_routes_never_call_factored_derivative(self, monkeypatch, capsys):
+        from poincare_series import closedform
+
+        def forbidden(self):
+            raise AssertionError("FactoredRatFun.derivative on a route")
+
+        monkeypatch.setattr(FactoredRatFun, "derivative", forbidden)
+        run_every_route()
+        for kind in ("invariants", "semiinvariants"):
+            closedform.all_ones(8, kind)
+            closedform.all_twos(8, kind)
+        capsys.readouterr()
 
 
 class TestNoFractionSeries:

@@ -5,6 +5,8 @@ from poincare_series.closedform import all_ones, all_twos, applicable, for_degre
 from poincare_series.counting import DegreeVector
 from poincare_series.springer import poincare_series
 
+from _oracles import ref_all_ones, ref_all_twos
+
 
 def assemble(num, factors):
     den = ONE
@@ -56,6 +58,20 @@ class TestAllTwos:
 
     def test_larger_system_still_agrees(self):
         assert all_twos(6, "semiinvariants") == poincare_series((2,) * 6, "semiinvariants")
+
+
+class TestAgainstFactoredChain:
+    """The integer cover kernel gives the same reduced results as the FactoredRatFun chain."""
+
+    @pytest.mark.parametrize("kind", ["invariants", "semiinvariants"])
+    def test_all_ones(self, kind):
+        for n in range(1, 11):
+            assert all_ones(n, kind) == ref_all_ones(n, kind), n
+
+    @pytest.mark.parametrize("kind", ["invariants", "semiinvariants"])
+    def test_all_twos(self, kind):
+        for n in range(1, 11):
+            assert all_twos(n, kind) == ref_all_twos(n, kind), n
 
 
 class TestRequestApi:

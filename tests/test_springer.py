@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from poincare_series.algebra import (
     ONE,
+    ZERO,
     FactoredRatFun,
     Poly,
     RatFun,
@@ -36,7 +37,9 @@ from _oracles import (
     multisection,
     psi_diagonal,
     random_factored,
+    random_pole,
     recombined_biseries,
+    ref_below_shift,
     ref_partial_fractions,
 )
 
@@ -344,15 +347,13 @@ class TestPsiTerm:
             assert computed == reference, (i, k, n)
 
     def test_whole_pole_against_diagonal(self):
-        # one pole i < n: sum_k psi(i, k, R_k) from one multisection
+        # one pole i < n: sum_k psi(i, k, R_k) from one multisection, with
+        # every R_k over the pole's cover, N_k / prod (1 - z^a)^(B_a + beta - k)
         rng = random.Random(23)
         count = 12
         for _ in range(40):
             beta = rng.randint(1, 4)
-            r_funs = [
-                random_factored(rng, max_num_deg=4, max_factors=2, max_exp=3)
-                for _ in range(beta)
-            ]
+            r_funs = random_pole(rng, beta, max_cover=2, max_exp=3)
             n = rng.randint(1, 4)
             i = rng.randint(0, n - 1)
             reference = [0] * (count + 1)
@@ -367,6 +368,54 @@ class TestPsiTerm:
         f = psi_term_factored(0, 2, r, 2).to_ratfun()
         inner = phi_factored(r, 2) * Poly.monomial(1)
         assert f == inner.derivative().to_ratfun()
+
+
+class TestCoverKernel:
+    """``_below_shift`` runs the pole's Horner chain on integer lists over one cover."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4), st.randoms(use_true_random=False))
+    def test_matches_factored_chain(self, beta, m, rng):
+        r_funs = random_pole(rng, beta)
+        expected = ref_below_shift(r_funs, m).to_ratfun()
+        assert _below_shift(r_funs, m).to_ratfun() == expected
+
+    @pytest.mark.parametrize("beta", [2, 5, 12])
+    def test_empty_cover(self, beta):
+        # a pole with no other exponent: every R_k is a polynomial and L = 1
+        pfd = partial_fractions({3: beta})
+        r_funs = [a * ONE_PLUS_Z for _, _, a in pfd.terms]
+        assert all(not r.factors for r in r_funs)
+        for m in (1, 2, 3):
+            assert _below_shift(r_funs, m).to_ratfun() == ref_below_shift(r_funs, m).to_ratfun()
+
+    @settings(max_examples=25, deadline=None)
+    @given(pfd_exponent_maps, st.integers(1, 5))
+    def test_matches_factored_chain_on_pfd_poles(self, beta, m):
+        pfd = partial_fractions(beta)
+        for i in sorted(beta):
+            r_funs = [a * ONE_PLUS_Z for j, _, a in pfd.terms if j == i]
+            assert _below_shift(r_funs, m).to_ratfun() == ref_below_shift(r_funs, m).to_ratfun()
+
+    def test_zero_padding_accepted(self):
+        # psi_term_factored hands the pole R_1..R_(k-1) = 0 with no factors
+        r = FactoredRatFun(Poly([3, -1, 2]) * Fraction(1, 2), {2: 2, 3: 1})
+        r_funs = [FactoredRatFun(ZERO)] * 3 + [r]
+        assert _below_shift(r_funs, 2).to_ratfun() == ref_below_shift(r_funs, 2).to_ratfun()
+        assert _below_shift([FactoredRatFun(ZERO)] * 3, 2).is_zero()
+
+    def test_factors_off_the_cover_rejected(self):
+        top = FactoredRatFun(Poly([1, 1]), {2: 1})
+        for below in (
+            FactoredRatFun(Poly([1]), {2: 1}),  # needs (1 - z^2)^2
+            FactoredRatFun(Poly([1]), {2: 2, 3: 1}),  # (1 - z^3) is not in the cover
+            FactoredRatFun(Poly([1])),
+        ):
+            with pytest.raises(ValueError):
+                _below_shift([below, top], 3)
+        # R_1 of three needs every factor of the cover at least twice
+        with pytest.raises(ValueError):
+            _below_shift([FactoredRatFun(Poly([1]), {1: 1}), FactoredRatFun(ZERO), FactoredRatFun(ZERO)], 1)
 
 
 class TestPoincareSeries:
