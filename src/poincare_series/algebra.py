@@ -26,7 +26,7 @@ route and the tests' reference.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import add, index, mul, sub
 
@@ -82,21 +82,15 @@ def _kronecker_mul(a, b) -> list:
     return _unpack(x * y, len(a) + len(b) - 1, width)
 
 
-def _shifted_sum(terms, ints) -> list:
-    """Sum over the terms (k, c) of c * ints shifted by k: the product by a sparse factor."""
-    (k, c), *rest = terms
-    width = len(ints)
-    out = [0] * k + (list(ints) if c == 1 else [c * x for x in ints])
-    out += [0] * (terms[-1][0] - k)
-    for k, c in rest:
-        window = out[k : k + width]
-        if c == 1:
-            out[k : k + width] = map(add, window, ints)
-        elif c == -1:
-            out[k : k + width] = map(sub, window, ints)
-        else:
-            out[k : k + width] = [x + c * y for x, y in zip(window, ints)]
-    return out
+def _add_scaled(out: list, shift: int, c: int, ints) -> None:
+    """out += c z^shift ints in place, extending out as needed."""
+    end = shift + len(ints)
+    out += [0] * (end - len(out))
+    window = out[shift:end]
+    if c == 1:
+        out[shift:end] = map(add, window, ints)
+    else:
+        out[shift:end] = map(add, window, map(mul, ints, repeat(c)))
 
 
 def _int_mul(a, b) -> list:
@@ -105,7 +99,11 @@ def _int_mul(a, b) -> list:
         a, b = b, a
     if len(b) - b.count(0) > 2:
         return _kronecker_mul(a, b)
-    return _shifted_sum([(k, c) for k, c in enumerate(b) if c], a)
+    out = []
+    for k, c in enumerate(b):
+        if c:
+            _add_scaled(out, k, c, a)
+    return out
 
 
 def _times_binomial(ints: list, a: int) -> None:
@@ -358,18 +356,6 @@ class Poly:
         if self.is_zero():
             return self
         return Poly._from_ints([0] * k + list(self.ints), self.denom)
-
-    def times_block(self, n: int, a: int) -> "Poly":
-        """Multiply by the block 1 + z^a + ... + z^(a(n-1)), q_block(n) at z^a.
-
-        The block is (1 - z^(an)) / (1 - z^a): a shifted difference and a
-        stride-a prefix sum, O(degree) integer additions.
-        """
-        if n < 1 or a < 1:
-            raise ValueError("a block needs n >= 1 and a >= 1")
-        if n == 1 or self.is_zero():
-            return self
-        return Poly._from_ints(_binomial_passes(self.ints, (a * n,), (a,)), self.denom)
 
     def over_binomial(self, a: int) -> "Poly | None":
         """The quotient by 1 - z^a if the division is exact, else None.

@@ -14,9 +14,9 @@ from __future__ import annotations
 from math import comb, factorial
 from operator import add
 
-from .algebra import FactoredRatFun, Poly, RatFun, _binomial_passes, pochhammer
+from .algebra import FactoredRatFun, Poly, RatFun, _add_scaled, _binomial_passes, pochhammer
 from .counting import as_degree_vector, canonical_kind
-from .springer import _add_scaled, _cover_horner
+from .springer import _cover_horner
 
 
 def _horner_sum(base: dict, terms) -> RatFun:

@@ -26,31 +26,34 @@ on integer lists: every R_k there is N_k / (D_0 L^(beta_i - k)), with
 D_0 = prod (1 - z^a)^(B_a) and L the product of the distinct (1 - z^a), so
 each step (theta + c) acc / c stays on one cover that gains one L, and the
 1/c go into one integer denominator (``_cover_horner``, which also runs
-the closed forms of ``closedform``).
+the closed forms of ``closedform``). The prefactor, an int list, multiplies
+each numerator list once, and D_0 is read off R_beta.
 
 Everything stays in the factored-denominator representation: the
 multisection of R(z)/prod(1 - z^a) multiplies the numerator by the
 geometric block of n/gcd(a, n) terms at z^a, which turns each factor into
 (1 - z^lcm(a, n)), a function of z^n; after the multisection it is
 (1 - z^(a/gcd(a, n))) with its multiplicity unchanged. The block is
-applied as a window sum, a stride-a prefix sum minus itself shifted by
-the block's span, once per unit of multiplicity; it is never expanded.
+applied to the numerator's int list as a difference shifted by the block's
+span and a stride-a prefix sum, once per unit of multiplicity; it is never
+expanded, and one Poly is built from the multisection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from math import comb, gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from .algebra import (
     ZERO,
     FactoredRatFun,
     Poly,
     RatFun,
+    _add_scaled,
     _binomial_passes,
+    _int_mul,
     _pack,
     _times_binomial,
     _unpack,
@@ -93,7 +96,9 @@ def _pole_series(below: dict, above: dict, top: int) -> list:
         # a simple pole needs neither L nor any x_m; with no other exponent, S = 1
         return series + [[]] * top
     if len(dists) == 1:
-        # L = 1 - z^m, so x_m = 1 and S is a product of binomial series in v and -z^m v
+        # L = 1 - z^m, so x_m = 1 and S is a product of binomial series in v and
+        # -z^m v. Needed for exactness, not only speed: r S_r need not vanish at
+        # z = 1 here, so the general branch's halved width can overflow
         (m,) = dists
         lo, hi = _binomial_row(below.get(m, 0), top), _binomial_row(above.get(m, 0), top)
         for r in range(1, top + 1):
@@ -158,10 +163,15 @@ def partial_fractions(exponents: dict, shift: "int | None" = None) -> PFD:
     S_r(2^W) is the exact quotient by r. W is whole bytes with room for
     every coefficient of L and of every r S_r: ||x_m||_1 <= 2^(#m - 1), so
     ||P_j||_1 <= p_j = 2^((#m - 1) j) sum_(e != i) beta_e, T_0 = 1 and
-    T_r = ceil(sum_j p_j T_(r-j) / r) bound ||S_r||_1, and no coefficient
-    exceeds half of these l1 bounds, as L and every r S_r vanish at z = 1.
-    When every other exponent sits at one distance m, x_m = 1 and S_r is
-    read off the two binomial series directly. A_{i, beta_i - r} is the
+    T_r = ceil(sum_j p_j T_(r-j) / r) bound ||S_r||_1. With two or more
+    distances every x_m keeps the factor (1 - z^m') of another distance, so
+    every P_j, and with it every r S_r, vanishes at z = 1 as L does, and no
+    coefficient exceeds half of these l1 bounds. With one distance m that
+    fails: x_m = 1, P_j(1) = beta_(i-m) + (-1)^j beta_(i+m) need not vanish,
+    and S_r = C(beta + r - 1, r) reaches its whole bound when that exponent
+    lies below the pole. So that case reads S_r off the two binomial series
+    directly, which exactness needs: packed at the halved width, the poles
+    of (1,)*16 overflow. A_{i, beta_i - r} is the
     sign and z-power above times S_r, over prod_m (1 - z^m)^(B_m + r), B_m
     the sum of beta_e at distance m. Every k = 1..beta_i is emitted, zero
     coefficients included, for every pole i, or for the poles i < shift
@@ -197,32 +207,23 @@ def phi_factored(f: FactoredRatFun, n: int) -> FactoredRatFun:
     (1 + z^a + ... + z^(a(n/g - 1)))^e. The denominator is then a function
     of z^n, so the multisection acts on the numerator alone and leaves
     (1 - z^(a/g))^e: the multiplicities carry over, each a shrinks to a/g.
-    Each block is applied as a window sum (``Poly.times_block``): e passes
-    of O(degree) integer additions, with no block power built.
+    Each block, (1 - z^(a n/g)) / (1 - z^a), is applied to the numerator's
+    int list as binomial passes (``_binomial_passes``), a shifted difference
+    and a stride-a prefix sum: e passes of O(degree) integer additions, with
+    no block power built. One Poly is built at the end, from the multisection.
     """
     if n < 1:
         raise ValueError("multisection index must be >= 1")
     if n == 1:
         return f
-    num = f.num
-    factors = []
+    num, factors = f.num.ints, []
     for a, e in f.factors:
         g = gcd(a, n)
-        for _ in range(e):
-            num = num.times_block(n // g, a)
+        if g < n:
+            for _ in range(e):
+                num = _binomial_passes(num, (a * n // g,), (a,))
         factors.append((a // g, e))
-    return FactoredRatFun(num.multisect(n), factors)
-
-
-def _add_scaled(out: list, shift: int, c: int, ints) -> None:
-    """out += c z^shift ints in place, extending out as needed."""
-    end = shift + len(ints)
-    out += [0] * (end - len(out))
-    window = out[shift:end]
-    if c == 1:
-        out[shift:end] = map(add, window, ints)
-    else:
-        out[shift:end] = map(add, window, map(mul, ints, repeat(c)))
+    return FactoredRatFun(Poly._from_ints(list(num[::n]), f.num.denom), factors)
 
 
 def _cover_horner(base: dict, terms, consts=None) -> list:
@@ -262,49 +263,32 @@ def _cover_horner(base: dict, terms, consts=None) -> list:
     return p
 
 
-def _pole_base(r_funs) -> "dict | None":
-    """B of one pole: every nonzero R_k is N_k / (D_0 L^(beta - k)); None if all are zero."""
-    beta, base = len(r_funs), None
-    for k in range(beta, 0, -1):
-        r = r_funs[k - 1]
-        if r.is_zero():
-            continue
-        if base is None:
-            base = {a: e - (beta - k) for a, e in r.factors}
-        want = tuple((a, b + beta - k) for a, b in sorted(base.items()) if b + beta - k)
-        if min(base.values(), default=0) < 0 or r.factors != want:
-            raise ValueError(f"R_{k} over {dict(r.factors)} does not share one pole's cover")
-    return base
-
-
-def _below_shift(r_funs, m: int) -> FactoredRatFun:
+def _below_shift(r_funs, m: int, prefactor: list) -> FactoredRatFun:
     """One pole below the shift: phi_m of sum_k C(theta/m + k - 1, k - 1) R_k.
 
-    R_k is r_funs[k - 1]. At a pole each R_k is N_k / (D_0 L^(beta - k)) (see
-    ``partial_fractions``); zero R_k of any form are allowed, and a nonzero one
-    over other factors raises ValueError. Horner's rule sums before the one
+    R_k is prefactor * r_funs[k - 1], the prefactor an int list multiplied
+    into each numerator list once. At a pole each R_k is N_k / (D_0 L^(beta - k))
+    (see ``partial_fractions``), and D_0 is read off R_beta, which
+    ``partial_fractions`` always emits over D_0 with the nonzero numerator
+    S_0 = 1. Zero R_k of any form are allowed; a nonzero one over other
+    factors raises ValueError. Horner's rule sums before the one
     multisection: acc = R_beta, then acc = R_(k-1) + (theta + c) acc / c with
     c = m(k - 1) for k = beta down to 2. That is ``_cover_horner`` with the
     integer weights w_k = prod_(l=k..beta-1) m l over one denominator, prod c
-    times the numerators' common denominator. L, U and V enter only through
-    the steps, so a simple pole takes none and pays nothing for them:
-    building them for every pole made (30,) 0.21 -> 0.35 s in a trial.
+    times the numerators' common denominator; a simple pole takes no step.
     """
-    beta = len(r_funs)
-    if beta == 1:
-        return phi_factored(r_funs[0], m)
-    base = _pole_base(r_funs)
-    if base is None:
-        return FactoredRatFun(ZERO)
+    beta, cover = len(r_funs), r_funs[-1].factors
     denom = lcm(*[r.num.denom for r in r_funs])
     terms, weight = [], 1
     for k in range(beta, 0, -1):
-        num = r_funs[k - 1].num
-        terms.append((weight, [x * (denom // num.denom) for x in num.ints]))
+        r = r_funs[k - 1]
+        if r.num and r.factors != tuple((a, b + beta - k) for a, b in cover):
+            raise ValueError(f"R_{k} over {dict(r.factors)} does not share one pole's cover")
+        terms.append((weight * (denom // r.num.denom), _int_mul(r.num.ints, prefactor)))
         if k > 1:
             weight *= m * (k - 1)
-    p = _cover_horner(base, terms, [m * (k - 1) for k in range(beta, 1, -1)])
-    acc = FactoredRatFun(Poly._from_ints(p, denom * weight), {a: b + beta - 1 for a, b in base.items()})
+    p = _cover_horner(dict(cover), terms, [m * (k - 1) for k in range(beta, 1, -1)])
+    acc = FactoredRatFun(Poly._from_ints(p, denom * weight), {a: b + beta - 1 for a, b in cover})
     return phi_factored(acc, m)
 
 
@@ -321,14 +305,14 @@ def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> Factored
     if n < 1:
         raise ValueError("shift must be >= 1")
     if i < n:
-        return _below_shift([FactoredRatFun(ZERO)] * (k - 1) + [r_fun], n - i)
+        return _below_shift([FactoredRatFun(ZERO)] * (k - 1) + [r_fun], n - i, [1])
     # R(0) is num(0): every (1 - z^a) equals 1 at the origin
     if i == n:
         return FactoredRatFun(Poly([r_fun.num[0]]), {1: k})
     return FactoredRatFun(Poly([r_fun.num[0]]))
 
 
-_PREFACTOR = {"semiinvariants": Poly([1, 1]), "invariants": Poly([1, 0, -1])}
+_PREFACTOR = {"semiinvariants": [1, 1], "invariants": [1, 0, -1]}
 
 # one entry per (degrees, kind): well above the few dozen that a CLI
 # session or the default crosscheck sweep fills, yet bounded
@@ -342,11 +326,11 @@ def _poincare_cached(degrees: tuple, kind: str) -> RatFun:
     # psi terms at and above the shift, R_k(0)/(1 - z)^k and R_k(0), vanish
     pfd = partial_fractions(build_factored_gf(d), d.d_star)
     prefactor = _PREFACTOR[kind]
-    # the terms come ordered by (i, k), k = 1..beta_i, so poles[i][k - 1] is R_k
+    # the terms come ordered by (i, k), k = 1..beta_i, so poles[i][k - 1] is A_{i,k}
     poles: dict[int, list] = {}
     for i, _, a_ik in pfd.terms:
-        poles.setdefault(i, []).append(a_ik * prefactor)
-    terms = (_below_shift(r_funs, d.d_star - i) for i, r_funs in poles.items())
+        poles.setdefault(i, []).append(a_ik)
+    terms = (_below_shift(a_i, d.d_star - i, prefactor) for i, a_i in poles.items())
     return sum(terms, FactoredRatFun(ZERO)).to_ratfun()
 
 
@@ -375,7 +359,7 @@ def single_form_series(d, kind: str) -> RatFun:
     if system.size != 1:
         raise ValueError(f"single_form_series takes one form, not the system {system}")
     d = system.d_star
-    prefactor = _PREFACTOR[canonical_kind(kind)]
+    prefactor = Poly(_PREFACTOR[canonical_kind(kind)])
     total = FactoredRatFun(ZERO)
     for k in range((d + 1) // 2):
         # the constructor merges the two factor lists

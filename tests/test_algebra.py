@@ -543,6 +543,25 @@ class TestNoFactoredDerivative:
         capsys.readouterr()
 
 
+class TestNoFactoredProduct:
+    """No route multiplies a FactoredRatFun: the pole sums multiply each
+    numerator's int list by the prefactor list once."""
+
+    def test_routes_never_call_factored_mul(self, monkeypatch, capsys):
+        from poincare_series import closedform
+
+        def forbidden(self, other):
+            raise AssertionError("FactoredRatFun product on a route")
+
+        monkeypatch.setattr(FactoredRatFun, "__mul__", forbidden)
+        monkeypatch.setattr(FactoredRatFun, "__rmul__", forbidden)
+        run_every_route()
+        for kind in ("invariants", "semiinvariants"):
+            closedform.all_ones(8, kind)
+            closedform.all_twos(8, kind)
+        capsys.readouterr()
+
+
 class TestNoFractionSeries:
     """Series output runs on integers: the recurrence does no Fraction arithmetic."""
 

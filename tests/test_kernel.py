@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poincare_series.algebra import Poly, _kronecker_mul, _pack, _unpack, _width, one_minus_z, q_block
+from poincare_series.algebra import Poly, _kronecker_mul, _pack, _unpack, _width, one_minus_z
 
 from _oracles import convolve
 
@@ -143,15 +143,6 @@ class TestAgainstReference:
         assert values(Poly(a) * Poly(b)) == ref_mul(a, b)
         assert values(Poly(b) * Poly(a)) == ref_mul(b, a)
 
-    @given(coeff_lists, st.integers(1, 7), st.integers(1, 6), st.integers(0, 3))
-    @SETTINGS
-    def test_times_block(self, a, step, n, e):
-        p = Poly(a)
-        out = p
-        for _ in range(e):
-            out = out.times_block(n, step)
-        assert out == p * q_block(n).compose_power(step) ** e
-
     def test_mul_at_digit_bound(self):
         # constant operands: the middle coefficients of the product reach
         # min(len) * max|a| * max|b|, the bound the packed digit must hold
@@ -256,11 +247,6 @@ class TestCanonicalForm:
             Poly([1, 0.5])
         with pytest.raises(TypeError):
             Poly([1, 2]) * 0.5
-
-    def test_empty_block_rejected(self):
-        for n, a in ((0, 1), (2, 0)):
-            with pytest.raises(ValueError):
-                Poly([1, 2]).times_block(n, a)
 
     def test_over_binomial_edges(self):
         assert Poly().over_binomial(3) == Poly()

@@ -52,6 +52,8 @@ def assemble(num, factors):
 
 
 ONE_PLUS_Z = Poly([1, 1])
+# the semi-invariant and invariant prefactors, 1 + z and 1 - z^2
+PREFACTORS = [[1, 1], [1, 0, -1]]
 
 
 def exponent_maps():
@@ -360,7 +362,7 @@ class TestPsiTerm:
             for k, r in enumerate(r_funs, start=1):
                 terms = psi_diagonal(r.expand(count * (n - i)), i, k, n, count)
                 reference = [x + y for x, y in zip(reference, terms)]
-            assert _below_shift(r_funs, n - i).expand(count) == reference, (beta, i, n)
+            assert _below_shift(r_funs, n - i, [1]).expand(count) == reference, (beta, i, n)
 
     def test_derivative_branch_explicit(self):
         # i < n with k = 2: 1/(1)! d/dz [z phi_{n-i}(R)]
@@ -374,35 +376,39 @@ class TestCoverKernel:
     """``_below_shift`` runs the pole's Horner chain on integer lists over one cover."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 12), st.integers(1, 4), st.randoms(use_true_random=False))
-    def test_matches_factored_chain(self, beta, m, rng):
+    @given(
+        st.integers(1, 12), st.integers(1, 4), st.sampled_from(PREFACTORS), st.randoms(use_true_random=False)
+    )
+    def test_matches_factored_chain(self, beta, m, p, rng):
         r_funs = random_pole(rng, beta)
-        expected = ref_below_shift(r_funs, m).to_ratfun()
-        assert _below_shift(r_funs, m).to_ratfun() == expected
+        expected = ref_below_shift([r * Poly(p) for r in r_funs], m).to_ratfun()
+        assert _below_shift(r_funs, m, p).to_ratfun() == expected
 
     @pytest.mark.parametrize("beta", [2, 5, 12])
     def test_empty_cover(self, beta):
         # a pole with no other exponent: every R_k is a polynomial and L = 1
         pfd = partial_fractions({3: beta})
-        r_funs = [a * ONE_PLUS_Z for _, _, a in pfd.terms]
-        assert all(not r.factors for r in r_funs)
+        a_funs = [a for _, _, a in pfd.terms]
+        assert all(not a.factors for a in a_funs)
+        r_funs = [a * ONE_PLUS_Z for a in a_funs]
         for m in (1, 2, 3):
-            assert _below_shift(r_funs, m).to_ratfun() == ref_below_shift(r_funs, m).to_ratfun()
+            assert _below_shift(a_funs, m, [1, 1]).to_ratfun() == ref_below_shift(r_funs, m).to_ratfun()
 
     @settings(max_examples=25, deadline=None)
-    @given(pfd_exponent_maps, st.integers(1, 5))
-    def test_matches_factored_chain_on_pfd_poles(self, beta, m):
+    @given(pfd_exponent_maps, st.integers(1, 5), st.sampled_from(PREFACTORS))
+    def test_matches_factored_chain_on_pfd_poles(self, beta, m, p):
         pfd = partial_fractions(beta)
         for i in sorted(beta):
-            r_funs = [a * ONE_PLUS_Z for j, _, a in pfd.terms if j == i]
-            assert _below_shift(r_funs, m).to_ratfun() == ref_below_shift(r_funs, m).to_ratfun()
+            a_funs = [a for j, _, a in pfd.terms if j == i]
+            expected = ref_below_shift([a * Poly(p) for a in a_funs], m).to_ratfun()
+            assert _below_shift(a_funs, m, p).to_ratfun() == expected
 
     def test_zero_padding_accepted(self):
         # psi_term_factored hands the pole R_1..R_(k-1) = 0 with no factors
         r = FactoredRatFun(Poly([3, -1, 2]) * Fraction(1, 2), {2: 2, 3: 1})
         r_funs = [FactoredRatFun(ZERO)] * 3 + [r]
-        assert _below_shift(r_funs, 2).to_ratfun() == ref_below_shift(r_funs, 2).to_ratfun()
-        assert _below_shift([FactoredRatFun(ZERO)] * 3, 2).is_zero()
+        assert _below_shift(r_funs, 2, [1]).to_ratfun() == ref_below_shift(r_funs, 2).to_ratfun()
+        assert _below_shift([FactoredRatFun(ZERO)] * 3, 2, [1, 0, -1]).is_zero()
 
     def test_factors_off_the_cover_rejected(self):
         top = FactoredRatFun(Poly([1, 1]), {2: 1})
@@ -412,10 +418,10 @@ class TestCoverKernel:
             FactoredRatFun(Poly([1])),
         ):
             with pytest.raises(ValueError):
-                _below_shift([below, top], 3)
-        # R_1 of three needs every factor of the cover at least twice
+                _below_shift([below, top], 3, [1])
+        # R_1 of three over (1 - z) would need B_1 = -1; D_0, read off R_3, is 1
         with pytest.raises(ValueError):
-            _below_shift([FactoredRatFun(Poly([1]), {1: 1}), FactoredRatFun(ZERO), FactoredRatFun(ZERO)], 1)
+            _below_shift([FactoredRatFun(Poly([1]), {1: 1}), FactoredRatFun(ZERO), FactoredRatFun(ZERO)], 1, [1])
 
 
 class TestPoincareSeries:
