@@ -33,17 +33,20 @@ Everything stays in the factored-denominator representation: the
 multisection of R(z)/prod(1 - z^a) multiplies the numerator by the
 geometric block of n/gcd(a, n) terms at z^a, which turns each factor into
 (1 - z^lcm(a, n)), a function of z^n; after the multisection it is
-(1 - z^(a/gcd(a, n))) with its multiplicity unchanged. The block is
-applied to the numerator's int list as a difference shifted by the block's
-span and a stride-a prefix sum, once per unit of multiplicity; it is never
-expanded, and one Poly is built from the multisection.
+(1 - z^(a/gcd(a, n))) with its multiplicity unchanged. The numerator is
+packed once at z = 2^W and phi_n runs as phi_p for one prime p of n after
+another: each block of p terms is a few shift-adds of that integer, each
+phi_p a strided copy of its digits' bytes, and only the result is
+unpacked. The poles' multisections are lifted to one common cover and
+added as integer lists (``_multisect_sum``, which also sums the terms of
+``single_form_series``), so one Poly is built for the whole sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import mul
 
 from .algebra import (
@@ -52,6 +55,7 @@ from .algebra import (
     Poly,
     RatFun,
     _add_scaled,
+    _bias,
     _binomial_passes,
     _int_mul,
     _pack,
@@ -199,31 +203,113 @@ def partial_fractions(exponents: dict, shift: "int | None" = None) -> PFD:
     return PFD(max(exponents) // 2, tuple(terms))
 
 
+def _times_block(x: int, shift: int, k: int) -> int:
+    """x (1 + y + ... + y^(k-1)) for y = 2^shift, by shift-adds along the binary digits of k.
+
+    With B_j = 1 + y + ... + y^(j-1): B_2j = B_j + y^j B_j and B_(2j+1) = B_2j + y^2j.
+    """
+    acc, j = x, 1
+    for bit in bin(k)[3:]:
+        acc += acc << shift * j
+        j *= 2
+        if bit == "1":
+            acc += x << shift * j
+            j += 1
+    return acc
+
+
+def _packed_multisect(ints, factors, n: int, width: int) -> list:
+    """phi_n of ints * prod over (a, e) of the blocks B^e, on one packed integer.
+
+    phi_n is phi_p for one prime p of n after another: at each, the factors
+    that p does not divide take the block of p terms (``_times_block``), the
+    others shrink to a/p, and every p-th digit is kept, byte column by byte
+    column of the biased digits; the digits are unpacked once, after the
+    last prime. So each prime's blocks are short and act on the digits the
+    primes before it kept, where one phi_n would apply blocks of n/g terms
+    to the whole product.
+    """
+    x, size, bits, p = _pack(ints, width), len(ints), 8 * width, 2
+    while n > 1:
+        while n % p:
+            p += 1
+        n //= p
+        rest = []
+        for a, e in factors:
+            if a % p:
+                for _ in range(e):
+                    x = _times_block(x, bits * a, p)
+                size += a * (p - 1) * e
+            else:
+                a //= p
+            rest.append((a, e))
+        factors = rest
+        buf = (x + _bias(size, width)).to_bytes(size * width, "little")
+        size = -(-size // p)
+        kept = bytearray(size * width)
+        for b in range(width):
+            kept[b::width] = buf[b::p * width]
+        x = int.from_bytes(kept, "little") - _bias(size, width)
+    return _unpack(x, size, width)
+
+
+def _multisect_sum(parts) -> FactoredRatFun:
+    """sum over the parts of phi_n(N / (denom prod (1 - z^a)^e)), on one cover.
+
+    A part is (N, denom, factors, n): an int list, a positive int and the
+    (a, e) pairs. With g = gcd(a, n) and k = n/g, the block
+    B = (1 - z^(a k)) / (1 - z^a) = 1 + z^a + ... + z^(a (k-1)) turns
+    (1 - z^a)^e into (1 - z^(a k))^e, a function of z^n, so phi_n acts on
+    N B^e alone and leaves (1 - z^(a/g))^e: the multiplicities carry over
+    (summed when two a meet at one a/g), each a shrinks to a/g. The cover
+    takes the largest multiplicity of each factor over the parts, a zero
+    part's included.
+
+    N B^e is never formed as a list (``_packed_multisect``): N is packed
+    once at z = 2^W and unpacked once, after the multisection. Evaluation at
+    2^W is exact, so only the digits read off, after each prime, must fit. Every block has
+    nonnegative coefficients and l1 norm its length, and the lengths of a
+    factor's blocks over the primes of n multiply to k, so no digit read
+    exceeds max|N| prod k^e in absolute value, and W is whole bytes for that
+    bound. A part with no block (n = 1, or n dividing every a) is a slice.
+    Each short list is lifted to the cover by binomial passes only after
+    the multisection, scaled to the parts' common denominator and added in.
+    """
+    outs, cover = [], {}
+    for ints, denom, factors, n in parts:
+        own = {}
+        for a, e in factors:
+            b = a // gcd(a, n)
+            own[b] = own.get(b, 0) + e
+        bound = prod((n // gcd(a, n)) ** e for a, e in factors)
+        if bound > 1 and any(ints):
+            ints = _packed_multisect(ints, factors, n, _width(max(map(abs, ints)) * bound))
+        else:
+            ints = ints[::n]
+        outs.append((ints, denom, own))
+        for b, e in own.items():
+            cover[b] = max(cover.get(b, 0), e)
+    common = lcm(*[denom for _, denom, _ in outs])
+    total = []
+    for ints, denom, own in outs:
+        lift = [b for b, e in cover.items() for _ in range(e - own.get(b, 0))]
+        _add_scaled(total, 0, common // denom, _binomial_passes(ints, lift, ()))
+    return FactoredRatFun(Poly._from_ints(total, common), cover)
+
+
 def phi_factored(f: FactoredRatFun, n: int) -> FactoredRatFun:
     """Multisection keeping every n-th coefficient, in factored form.
 
-    With g = gcd(a, n), each (1 - z^a)^e becomes (1 - z^lcm(a, n))^e when
-    the numerator is multiplied by the block of n/g terms at z^a,
-    (1 + z^a + ... + z^(a(n/g - 1)))^e. The denominator is then a function
-    of z^n, so the multisection acts on the numerator alone and leaves
-    (1 - z^(a/g))^e: the multiplicities carry over, each a shrinks to a/g.
-    Each block, (1 - z^(a n/g)) / (1 - z^a), is applied to the numerator's
-    int list as binomial passes (``_binomial_passes``), a shifted difference
-    and a stride-a prefix sum: e passes of O(degree) integer additions, with
-    no block power built. One Poly is built at the end, from the multisection.
+    Each (1 - z^a)^e of f becomes (1 - z^(a/gcd(a, n)))^e, and the
+    numerator is multiplied by the geometric blocks that make the
+    denominator a function of z^n before every n-th coefficient is kept:
+    ``_multisect_sum`` with one part.
     """
     if n < 1:
         raise ValueError("multisection index must be >= 1")
     if n == 1:
         return f
-    num, factors = f.num.ints, []
-    for a, e in f.factors:
-        g = gcd(a, n)
-        if g < n:
-            for _ in range(e):
-                num = _binomial_passes(num, (a * n // g,), (a,))
-        factors.append((a // g, e))
-    return FactoredRatFun(Poly._from_ints(list(num[::n]), f.num.denom), factors)
+    return _multisect_sum([(f.num.ints, f.num.denom, f.factors, n)])
 
 
 def _cover_horner(base: dict, terms, consts=None) -> list:
@@ -263,16 +349,16 @@ def _cover_horner(base: dict, terms, consts=None) -> list:
     return p
 
 
-def _below_shift(r_funs, m: int, prefactor: list) -> FactoredRatFun:
-    """One pole below the shift: phi_m of sum_k C(theta/m + k - 1, k - 1) R_k.
+def _pole_part(r_funs, m: int, prefactor: list) -> tuple:
+    """The ``_multisect_sum`` part of one pole below the shift: sum_k C(theta/m + k - 1, k - 1) R_k.
 
     R_k is prefactor * r_funs[k - 1], the prefactor an int list multiplied
     into each numerator list once. At a pole each R_k is N_k / (D_0 L^(beta - k))
     (see ``partial_fractions``), and D_0 is read off R_beta, which
     ``partial_fractions`` always emits over D_0 with the nonzero numerator
     S_0 = 1. Zero R_k of any form are allowed; a nonzero one over other
-    factors raises ValueError. Horner's rule sums before the one
-    multisection: acc = R_beta, then acc = R_(k-1) + (theta + c) acc / c with
+    factors raises ValueError. Horner's rule sums before the multisection
+    phi_m: acc = R_beta, then acc = R_(k-1) + (theta + c) acc / c with
     c = m(k - 1) for k = beta down to 2. That is ``_cover_horner`` with the
     integer weights w_k = prod_(l=k..beta-1) m l over one denominator, prod c
     times the numerators' common denominator; a simple pole takes no step.
@@ -288,8 +374,13 @@ def _below_shift(r_funs, m: int, prefactor: list) -> FactoredRatFun:
         if k > 1:
             weight *= m * (k - 1)
     p = _cover_horner(dict(cover), terms, [m * (k - 1) for k in range(beta, 1, -1)])
-    acc = FactoredRatFun(Poly._from_ints(p, denom * weight), {a: b + beta - 1 for a, b in cover})
-    return phi_factored(acc, m)
+    num = Poly._from_ints(p, denom * weight)
+    return num.ints, num.denom, [(a, b + beta - 1) for a, b in cover], m
+
+
+def _below_shift(r_funs, m: int, prefactor: list) -> FactoredRatFun:
+    """One pole below the shift: phi_m of sum_k C(theta/m + k - 1, k - 1) R_k (``_pole_part``)."""
+    return _multisect_sum([_pole_part(r_funs, m, prefactor)])
 
 
 def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> FactoredRatFun:
@@ -330,8 +421,8 @@ def _poincare_cached(degrees: tuple, kind: str) -> RatFun:
     poles: dict[int, list] = {}
     for i, _, a_ik in pfd.terms:
         poles.setdefault(i, []).append(a_ik)
-    terms = (_below_shift(a_i, d.d_star - i, prefactor) for i, a_i in poles.items())
-    return sum(terms, FactoredRatFun(ZERO)).to_ratfun()
+    parts = [_pole_part(a_i, d.d_star - i, prefactor) for i, a_i in poles.items()]
+    return _multisect_sum(parts).to_ratfun()
 
 
 def poincare_series(d, kind: str) -> RatFun:
@@ -359,11 +450,10 @@ def single_form_series(d, kind: str) -> RatFun:
     if system.size != 1:
         raise ValueError(f"single_form_series takes one form, not the system {system}")
     d = system.d_star
-    prefactor = Poly(_PREFACTOR[canonical_kind(kind)])
-    total = FactoredRatFun(ZERO)
+    prefactor = _PREFACTOR[canonical_kind(kind)]
+    parts = []
     for k in range((d + 1) // 2):
-        # the constructor merges the two factor lists
+        # _multisect_sum merges the two factor lists
         factors = [*q_shifted_factorial(2, 2, k).items(), *q_shifted_factorial(2, 2, d - k).items()]
-        num = prefactor * Poly.monomial(k * (k + 1), (-1) ** k)
-        total = total + phi_factored(FactoredRatFun(num, factors), d - 2 * k)
-    return total.to_ratfun()
+        parts.append(([0] * (k * (k + 1)) + [(-1) ** k * c for c in prefactor], 1, factors, d - 2 * k))
+    return _multisect_sum(parts).to_ratfun()

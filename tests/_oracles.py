@@ -9,11 +9,19 @@ from truncated double series. Slow but obviously correct.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
-from poincare_series.algebra import ONE, ZERO, FactoredRatFun, Poly, RatFun, one_minus_z, pochhammer
+from poincare_series.algebra import (
+    ONE,
+    ZERO,
+    FactoredRatFun,
+    Poly,
+    RatFun,
+    _binomial_passes,
+    one_minus_z,
+    pochhammer,
+)
 from poincare_series.counting import as_degree_vector, canonical_kind
-from poincare_series.springer import phi_factored
 
 
 def enumerate_omega(degrees, m, i):
@@ -246,6 +254,26 @@ def random_factored(rng, max_num_deg=6, max_factors=3, max_exp=5, max_mult=2):
     return FactoredRatFun(Poly(coeffs) * scale, factors)
 
 
+def ref_phi(f, n):
+    """phi_n of a FactoredRatFun by block passes on the numerator list.
+
+    Each (1 - z^a)^e becomes (1 - z^(a/g))^e, g = gcd(a, n), once the
+    numerator is multiplied e times by the block (1 - z^(a n/g)) / (1 - z^a):
+    a shifted difference and a stride-a prefix sum on the int list. Then
+    every n-th numerator coefficient is kept.
+    """
+    if n == 1:
+        return f
+    num, factors = f.num.ints, []
+    for a, e in f.factors:
+        g = gcd(a, n)
+        if g < n:
+            for _ in range(e):
+                num = _binomial_passes(num, (a * n // g,), (a,))
+        factors.append((a // g, e))
+    return FactoredRatFun(Poly._from_ints(list(num[::n]), f.num.denom), factors)
+
+
 def ref_below_shift(r_funs, m):
     """phi_m of sum_k C(theta/m + k - 1, k - 1) R_k by Horner's rule on FactoredRatFun.
 
@@ -257,7 +285,7 @@ def ref_below_shift(r_funs, m):
     for k in range(len(r_funs), 1, -1):
         acc = acc + acc.derivative() * Poly.monomial(1, Fraction(1, m * (k - 1)))
         acc = acc + r_funs[k - 2]
-    return phi_factored(acc, m)
+    return ref_phi(acc, m)
 
 
 def ref_all_ones(n, kind):

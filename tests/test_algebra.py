@@ -562,6 +562,19 @@ class TestNoFactoredProduct:
         capsys.readouterr()
 
 
+class TestNoFactoredSum:
+    """No route adds two FactoredRatFun: the poles and the single-form terms are
+    multisected and summed on one cover by ``springer._multisect_sum``."""
+
+    def test_routes_never_call_factored_add(self, monkeypatch, capsys):
+        def forbidden(self, other):
+            raise AssertionError("FactoredRatFun sum on a route")
+
+        monkeypatch.setattr(FactoredRatFun, "__add__", forbidden)
+        run_every_route()
+        capsys.readouterr()
+
+
 class TestNoFractionSeries:
     """Series output runs on integers: the recurrence does no Fraction arithmetic."""
 

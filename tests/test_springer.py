@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from poincare_series.counting import (
 from poincare_series.springer import (
     PFD,
     _below_shift,
+    _multisect_sum,
     _poincare_cached,
     partial_fractions,
     phi_factored,
@@ -41,6 +42,7 @@ from _oracles import (
     recombined_biseries,
     ref_below_shift,
     ref_partial_fractions,
+    ref_phi,
 )
 
 
@@ -285,12 +287,18 @@ class TestPhi:
 
     def test_against_series_multisection(self):
         rng = random.Random(41)
-        for _ in range(60):
-            f = random_factored(rng)
-            n = rng.randint(1, 6)
-            terms = 30
+        cases = [(random_factored(rng), rng.randint(1, 6)) for _ in range(60)]
+        # longer blocks and multiplicities up to 4, then Fraction numerator coefficients
+        for _ in range(40):
+            cases.append((random_factored(rng, max_factors=4, max_exp=8, max_mult=4), rng.randint(1, 12)))
+        for _ in range(20):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 6))]
+            factors = random_factored(rng, max_exp=8, max_mult=4).factors
+            cases.append((FactoredRatFun(Poly(coeffs), factors), rng.randint(1, 12)))
+        terms = 30
+        for f, n in cases:
             direct = phi_factored(f, n).expand(terms)
-            assert direct == multisection(f.expand(terms * n), n)
+            assert direct == multisection(f.expand(terms * n), n), (f, n)
 
     def test_worked_multisection(self):
         # phi_3 of (1+z) times the first mixed-system coefficient
@@ -310,6 +318,60 @@ class TestPhi:
             [(2, 1), (5, 1), (3, 2), (1, 4)],
         )
         assert phi_factored(a11 * ONE_PLUS_Z, 2).to_ratfun() == shown
+
+
+def pairwise_phi_sum(parts):
+    """The parts' multisections by block passes, summed pairwise by ``FactoredRatFun.__add__``."""
+    total = FactoredRatFun(ZERO)
+    for ints, denom, factors, n in parts:
+        total = total + ref_phi(FactoredRatFun(Poly._from_ints(list(ints), denom), factors), n)
+    return total
+
+
+class TestMultisectSum:
+    """``_multisect_sum`` multisects each part on one packed integer and sums the parts on one cover."""
+
+    def test_matches_pairwise_block_passes(self):
+        rng = random.Random(53)
+        for _ in range(80):
+            parts = []
+            for _ in range(rng.randint(1, 4)):
+                f = random_factored(rng, max_factors=4, max_exp=8, max_mult=3)
+                parts.append((f.num.ints, f.num.denom, f.factors, rng.randint(1, 12)))
+            got, want = _multisect_sum(parts), pairwise_phi_sum(parts)
+            assert (got.num, got.factors) == (want.num, want.factors), parts
+
+    def test_edge_parts(self):
+        parts = [
+            ([], 1, [(7, 2)], 3),  # zero numerator: no value, but (1 - z^7)^2 in the cover
+            ([1, 2, 3], 5, [(2, 1), (3, 2)], 1),  # n = 1: no block, no multisection
+            ([1, -1, 4, 0, 2], 3, [(6, 2), (3, 1)], 3),  # n divides every a: a slice
+            ([0, 0, -3, 1], 2, [(2, 1), (2, 2), (5, 1)], 4),  # one a twice, merged
+            ([4, 0, 1], 1, [], 2),  # no factor at all
+        ]
+        got, want = _multisect_sum(parts), pairwise_phi_sum(parts)
+        assert (got.num, got.factors) == (want.num, want.factors)
+        assert dict(got.factors)[7] == 2
+        assert _multisect_sum([]).is_zero()
+        for part in parts:
+            got, want = _multisect_sum([part]), pairwise_phi_sum([part])
+            assert (got.num, got.factors) == (want.num, want.factors), part
+
+    def test_digit_at_the_width_bound(self):
+        # N = [c] * L with L > deg prod B^e: every coefficient of N prod B^e from
+        # deg prod B^e to L - 1 is c prod k^e, the bound the packed width is sized
+        # for, and multiples of n lie among them
+        c, n, factors = 7, 6, [(1, 2), (2, 1), (4, 3)]
+        blocks = [(a, n // gcd(a, n), e) for a, e in factors]
+        product = prod((Poly([1] * k).compose_power(a) ** e for a, k, e in blocks), start=ONE)
+        ints = [c] * (product.degree + 3 * n)
+        full = (Poly(ints) * product).ints
+        bound = c * prod(k**e for _, k, e in blocks)
+        assert max(map(abs, full)) == bound
+        assert bound in full[::n]
+        got = _multisect_sum([(ints, 1, factors, n)])
+        want = ref_phi(FactoredRatFun(Poly(ints), factors), n)
+        assert (got.num, got.factors) == (want.num, want.factors)
 
 
 class TestPsiTerm:
