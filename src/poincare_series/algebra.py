@@ -18,9 +18,10 @@ Results are reduced in the cyclotomic basis: prod (1 - z^a)^e is
 prod_n Psi_n^(c_n) with c_n = sum of e over the a divisible by n, where
 Psi_n = prod over d | n of (1 - z^d)^mu(n/d) is Phi_n up to sign. The Phi_n
 are irreducible and pairwise coprime, so ``to_ratfun`` cancels each by
-exact binomial passes and computes no gcd. Long division and ``poly_gcd``
-(Euclid over Q, inside the ``RatFun`` constructor) remain the general
-route and the tests' reference.
+exact binomial passes and computes no gcd; the reduced denominator is
+the kept cover prod (1 - z^a)^e divided by the Psi_n that cancelled.
+Long division and ``poly_gcd`` (Euclid over Q, inside the ``RatFun``
+constructor) remain the general route and the tests' reference.
 """
 
 from __future__ import annotations
@@ -673,20 +674,26 @@ class FactoredRatFun:
         quotient by Psi_n multiplies by its binomials with mu = -1 and then
         divides by those with mu = +1, and is exact iff every pass is. Whole
         (1 - z^a) factors are cancelled first (``reduced``): one pass each.
+        The denominator is that kept cover over the Psi_n the numerator
+        lost, in one call of binomial passes: each cancelled Psi_n adds its
+        mu = -1 binomials to the products and its mu = +1 ones to the
+        quotients, so nothing that did not cancel is divided out.
         """
         slim = self.reduced()
         counts: dict[int, int] = {}
         for a, e in slim.factors:
             for n in _divisors(a):
                 counts[n] = counts.get(n, 0) + e
-        num, times, over = slim.num.ints, [], []
+        num, times, over = slim.num.ints, [a for a, e in slim.factors for _ in range(e)], []
         for n, c in counts.items():
             plus, minus = _moebius_binomials(n)
             while c and (q := _binomial_passes(num, minus, plus)) is not None:
                 num, c = q, c - 1
-            times += plus * c
-            over += minus * c
+                times += minus
+                over += plus
         den = _binomial_passes([1], times, over)
+        if den is None:
+            raise ArithmeticError("the cancelled Psi_n do not divide the denominator")
         # the leftover prod Psi_n^(c_n) is monic up to sign
         sign = den[-1]
         return RatFun._from_reduced(

@@ -40,6 +40,11 @@ phi_p a strided copy of its digits' bytes, and only the result is
 unpacked. The poles' multisections are lifted to one common cover and
 added as integer lists (``_multisect_sum``, which also sums the terms of
 ``single_form_series``), so one Poly is built for the whole sum.
+
+The decomposition depends on the degree system alone, not on the kind,
+so each system is decomposed once (``_poles``, cached) and the invariant
+and semi-invariant series both read it; the kinds differ only in the
+prefactor that ``_pole_part`` multiplies in.
 """
 
 from __future__ import annotations
@@ -405,23 +410,33 @@ def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> Factored
 
 _PREFACTOR = {"semiinvariants": [1, 1], "invariants": [1, 0, -1]}
 
-# one entry per (degrees, kind): well above the few dozen that a CLI
-# session or the default crosscheck sweep fills, yet bounded
+# one entry per (degrees, kind) in the series cache and per degrees in the
+# PFD cache: well above the few dozen that a CLI session or the default
+# crosscheck sweep fills, yet bounded
 _CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _poincare_cached(degrees: tuple, kind: str) -> RatFun:
+def _poles(degrees: tuple) -> tuple:
+    """d* and, per pole i below the shift, (i, (A_(i,1), ..., A_(i,beta_i))) of the system."""
     d = as_degree_vector(degrees)
     # beta_0 >= 1 puts z^(i beta_0) in every A_{i,k}, so R_k(0) = 0 and the
     # psi terms at and above the shift, R_k(0)/(1 - z)^k and R_k(0), vanish
     pfd = partial_fractions(build_factored_gf(d), d.d_star)
-    prefactor = _PREFACTOR[kind]
     # the terms come ordered by (i, k), k = 1..beta_i, so poles[i][k - 1] is A_{i,k}
     poles: dict[int, list] = {}
     for i, _, a_ik in pfd.terms:
         poles.setdefault(i, []).append(a_ik)
-    parts = [_pole_part(a_i, d.d_star - i, prefactor) for i, a_i in poles.items()]
+    return d.d_star, tuple((i, tuple(a_i)) for i, a_i in poles.items())
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _poincare_cached(degrees: tuple, kind: str) -> RatFun:
+    # the decomposition does not depend on the kind: both kinds of one
+    # system read the one cached PFD and differ only in the prefactor
+    d_star, poles = _poles(degrees)
+    prefactor = _PREFACTOR[kind]
+    parts = [_pole_part(a_i, d_star - i, prefactor) for i, a_i in poles]
     return _multisect_sum(parts).to_ratfun()
 
 

@@ -23,6 +23,7 @@ from poincare_series.counting import (
 from poincare_series.golden import check_corpus, shipped_corpus_path
 from poincare_series.springer import (
     _poincare_cached,
+    _poles,
     partial_fractions,
     phi_factored,
     poincare_series,
@@ -62,6 +63,7 @@ def assemble(num, factors):
 def test_criterion_1_golden_tables():
     with criterion(1, "golden tables"):
         _poincare_cached.cache_clear()
+        _poles.cache_clear()
         with open(shipped_corpus_path(), encoding="utf-8") as handle:
             text = handle.read()
         start = time.perf_counter()
@@ -89,6 +91,7 @@ def test_criterion_2_worked_intermediates():
 def test_criterion_3_oracle_equivalence():
     with criterion(3, "counting vs operator"):
         _poincare_cached.cache_clear()
+        _poles.cache_clear()
         start = time.perf_counter()
         for degs in SWEEP:
             for kind in KINDS:

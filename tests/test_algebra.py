@@ -413,11 +413,60 @@ class TestCyclotomicReduction:
         assert cases[-1].to_ratfun() == RatFun(ONE)
 
 
+@st.composite
+def cover_cancellation_cases(draw):
+    """A cover {a: e}, a <= 12 and e <= 4, over any integer polynomial times
+    prod Psi_n^(k_n) with k_n <= c_n, the multiplicity of Phi_n in the cover."""
+    cover = draw(st.dictionaries(st.integers(1, 12), st.integers(1, 4), min_size=1, max_size=4))
+    counts: dict = {}
+    for a, e in cover.items():
+        for n in range(1, a + 1):
+            if a % n == 0:
+                counts[n] = counts.get(n, 0) + e
+    phi = cyclotomics(counts)
+    num = Poly(draw(st.lists(st.integers(-6, 6), min_size=1, max_size=6)))
+    for n, c in sorted(counts.items()):
+        num = num * phi[n] ** draw(st.integers(0, c))
+    return FactoredRatFun(num, cover)
+
+
+class TestCoverOverCancelled:
+    """The denominator is the kept cover divided by the Psi_n that cancelled."""
+
+    @given(cover_cancellation_cases())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_euclid_reference(self, f):
+        assert f.to_ratfun() == euclid_reference(f)
+
+    def test_nothing_divided_out_when_nothing_cancels(self, monkeypatch):
+        passes, calls = algebra._binomial_passes, []
+
+        def recorded(ints, times, over):
+            calls.append((list(ints), list(times), list(over)))
+            return passes(ints, times, over)
+
+        f = FactoredRatFun(ONE, {6: 1})
+        expected = euclid_reference(f)
+        monkeypatch.setattr(algebra, "_binomial_passes", recorded)
+        got = f.to_ratfun()
+        # the last call builds the denominator: 1 - z^6 itself, no quotient
+        assert calls[-1] == ([1], [6], [])
+        assert got == expected
+
+    def test_wrong_moebius_split_raises(self, monkeypatch):
+        # taking every Psi_n for 1 - z, (1 - z)^2 cancels twice from a
+        # cover that holds 1 - z once, and the denominator pass is inexact
+        monkeypatch.setattr(algebra, "_moebius_binomials", lambda n: ([1], []))
+        with pytest.raises(ArithmeticError):
+            FactoredRatFun(Poly([1, -2, 1]), {6: 1}).to_ratfun()
+
+
 def run_every_route():
     """Each route once: library series, closed forms and CLI requests with checks."""
     from poincare_series import cli, closedform, springer
 
     springer._poincare_cached.cache_clear()
+    springer._poles.cache_clear()
     try:
         for d in ((1, 2, 3), (2, 2), (4, 5), (3, 3, 1), (6,)):
             for kind in ("invariants", "semiinvariants"):
@@ -438,6 +487,7 @@ def run_every_route():
         # results made under a patch are correct; dropping them keeps later
         # tests independent of this one
         springer._poincare_cached.cache_clear()
+        springer._poles.cache_clear()
 
 
 class TestNoGcdOnHotPath:

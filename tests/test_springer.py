@@ -23,9 +23,11 @@ from poincare_series.counting import (
 )
 from poincare_series.springer import (
     PFD,
+    _CACHE_SIZE,
     _below_shift,
     _multisect_sum,
     _poincare_cached,
+    _poles,
     partial_fractions,
     phi_factored,
     poincare_series,
@@ -522,6 +524,45 @@ class TestPoincareSeries:
         hits = _poincare_cached.cache_info().hits
         assert poincare_series((1, 2), "invariants") is first
         assert _poincare_cached.cache_info().hits == hits + 1
+
+    def test_one_decomposition_for_both_kinds(self, monkeypatch):
+        from poincare_series import springer
+
+        decompose, calls = springer.partial_fractions, []
+
+        def counted(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(springer, "partial_fractions", counted)
+        _poincare_cached.cache_clear()
+        _poles.cache_clear()
+        try:
+            poincare_series((3, 4), "invariants")
+            poincare_series((3, 4), "covariants")
+        finally:
+            _poincare_cached.cache_clear()
+            _poles.cache_clear()
+        assert len(calls) == 1
+
+    def test_pfd_cache_is_bounded(self):
+        assert _poles.cache_info().maxsize == _CACHE_SIZE
+
+    def test_shared_pfd_is_not_mutated(self):
+        degrees = DegreeVector((2, 3, 4)).degrees
+        _poincare_cached.cache_clear()
+        _poles.cache_clear()
+
+        def snapshot():
+            d_star, poles = _poles(degrees)
+            return d_star, [(i, [(a.num.ints, a.num.denom, a.factors) for a in a_i]) for i, a_i in poles]
+
+        before = snapshot()
+        poincare_series(degrees, "invariants")
+        poincare_series(degrees, "covariants")
+        assert snapshot() == before
+        _poles.cache_clear()
+        assert snapshot() == before
 
     def test_counting_agreement_sample(self):
         for degs in [(3,), (2, 2), (4, 1)]:
