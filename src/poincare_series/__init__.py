@@ -8,58 +8,34 @@ closed differential formulas for all-linear and all-quadratic systems
 algebra and with the kernel of the associated Weitzenboeck derivation.
 """
 
-from .algebra import (
-    FactoredRatFun,
-    Poly,
-    RatFun,
-    cross_equal,
-    pochhammer,
-    q_block,
-    q_shifted_factorial,
-)
+from .algebra import Poly, RatFun
 from .closedform import all_ones, all_twos
 from .counting import (
     DegreeVector,
     MultiplicityTable,
-    build_factored_gf,
     dimension,
     gamma,
     multiplicity_table,
     omega,
 )
-from .springer import (
-    PFD,
-    partial_fractions,
-    phi_factored,
-    poincare_series,
-    psi_term_factored,
-    single_form_series,
-)
+from .springer import PFD, partial_fractions, poincare_series, single_form_series
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FactoredRatFun",
-    "Poly",
-    "RatFun",
-    "cross_equal",
-    "pochhammer",
-    "q_block",
-    "q_shifted_factorial",
+    "poincare_series",
+    "single_form_series",
     "all_ones",
     "all_twos",
-    "DegreeVector",
-    "MultiplicityTable",
-    "build_factored_gf",
     "dimension",
     "gamma",
     "multiplicity_table",
     "omega",
-    "PFD",
+    "Poly",
+    "RatFun",
+    "DegreeVector",
+    "MultiplicityTable",
     "partial_fractions",
-    "phi_factored",
-    "poincare_series",
-    "psi_term_factored",
-    "single_form_series",
+    "PFD",
     "__version__",
 ]

@@ -8,11 +8,14 @@ shifted once per term and added, O(degree); packing would cost more than
 that product. Any other product packs both numerator lists into single
 big integers (Kronecker substitution) and lets the interpreter's
 big-integer multiply do the convolution. A quotient by 1 - z^a is the
-stride-a prefix sum of the numerators (``_binomial_passes``). On top of
-that sit reduced rational functions, plus a factored representation that
-keeps the denominator as a multiset of (1 - z^a) factors so that
-multisection and cancellation can work factor by factor
-without ever expanding a large product.
+stride-a prefix sum of the numerators (``_binomial_passes``). Chains of
+derivatives over one cover of (1 - z^a) factors run on the numerator
+lists as well (``_cover_horner``): the pole sums of ``springer``, the
+closed forms of ``closedform`` and ``FactoredRatFun.derivative``. On top
+of that sit reduced rational functions, plus a factored representation
+that keeps the denominator as a multiset of (1 - z^a) factors so that
+multisection and cancellation can work factor by factor without ever
+expanding a large product.
 
 Results are reduced in the cyclotomic basis: prod (1 - z^a)^e is
 prod_n Psi_n^(c_n) with c_n = sum of e over the a divisible by n, where
@@ -145,6 +148,43 @@ def _binomial_passes(ints, times, over) -> "list | None":
     return out
 
 
+def _cover_horner(base: dict, terms, consts=None) -> list:
+    """Numerator of a Horner sum of derivatives on one growing cover, on integer lists.
+
+    base maps each a of the cover to B_a >= 0, D_0 = prod (1 - z^a)^(B_a) and
+    L is the product of the distinct (1 - z^a). With terms = [(w_0, N_0), ...],
+    acc = w_0 N_0 / D_0 and then acc = D_s acc + w_s N_s / (D_0 L^s) for s >= 1,
+    where D_s is d/dz, or theta + consts[s - 1] when consts is given; the
+    result is P with acc = P / (D_0 L^(len(terms) - 1)). As d/dz of
+    P / (D_0 L^j) is (P' L + P (U + j V)) / (D_0 L^(j + 1)), with
+    x_a = L / (1 - z^a), U = sum B_a a z^(a-1) x_a and V = sum a z^(a-1) x_a,
+    a theta step sets P = (c P + z P') L + z P (U + j V) + w_s N_s. Neither L
+    nor U + j V is formed: one pass over the cover takes
+    acc = acc (1 - z^a) + (B_a + j) a z^(a-1) full and full = full (1 - z^a),
+    from acc = c P + z P' (or P') and full = z P (or P): 2 #cover - 1
+    binomial passes and #cover scaled adds per step.
+    """
+    (w, p), *rest = terms
+    p = [w * x for x in p]
+    cover = sorted(base)
+    for j, (w, num) in enumerate(rest):
+        if consts is None:
+            # p is not read again, so full may take it over
+            acc, full = list(map(mul, range(1, len(p)), p[1:])), p
+        else:
+            c = consts[j]
+            acc, full = list(map(mul, range(c, c + len(p)), p)), [0] + p
+        for left, a in enumerate(cover, 1 - len(cover)):
+            _times_binomial(acc, a)
+            _add_scaled(acc, a - 1, (base[a] + j) * a, full)
+            if left:
+                _times_binomial(full, a)
+        if w and num:
+            _add_scaled(acc, 0, w, num)
+        p = acc
+    return p
+
+
 class Poly:
     """Polynomial with rational coefficients, ascending exponents.
 
@@ -182,12 +222,6 @@ class Poly:
         p = cls.__new__(cls)
         p._set(ints, denom)
         return p
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient=1) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        return cls([0] * exponent + [coefficient])
 
     @property
     def coeffs(self) -> tuple:
@@ -334,30 +368,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly._from_ints([i * c for i, c in enumerate(self.ints)][1:], self.denom)
 
-    def compose_power(self, a: int) -> "Poly":
-        """Substitute z -> z^a."""
-        if a < 1:
-            raise ValueError("compose_power needs a >= 1")
-        if a == 1 or self.is_zero():
-            return self
-        out = [0] * (a * self.degree + 1)
-        out[::a] = self.ints
-        return Poly._from_ints(out, self.denom)
-
-    def multisect(self, n: int) -> "Poly":
-        """Keep coefficients at exponents divisible by n, compressing z^(n*i) -> z^i."""
-        if n < 1:
-            raise ValueError("multisect needs n >= 1")
-        return Poly._from_ints(list(self.ints[::n]), self.denom)
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by z^k."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if self.is_zero():
-            return self
-        return Poly._from_ints([0] * k + list(self.ints), self.denom)
-
     def over_binomial(self, a: int) -> "Poly | None":
         """The quotient by 1 - z^a if the division is exact, else None.
 
@@ -412,13 +422,6 @@ def one_minus_z(a: int) -> Poly:
     return Poly._from_ints([1] + [0] * (a - 1) + [-1])
 
 
-def q_block(n: int) -> Poly:
-    """Geometric block 1 + z + ... + z^(n-1), the cofactor in (1 - z^a)(block at z^a) = 1 - z^(an)."""
-    if n < 1:
-        raise ValueError("empty block")
-    return Poly._from_ints([1] * n)
-
-
 def _times_binomials(num: Poly, factors) -> Poly:
     """num * prod over (a, e) of (1 - z^a)^e, one shifted pass per unit of e."""
     out = _binomial_passes(num.ints, [a for a, e in factors for _ in range(e)], ())
@@ -468,18 +471,6 @@ def _moebius_binomials(n: int):
                 m //= p
         p += 1
     return [d for d, s in split if s > 0], [d for d, s in split if s < 0]
-
-
-def cyclotomics(orders) -> dict:
-    """The cyclotomic polynomial Phi_d for every divisor d of every n in ``orders``.
-
-    Each is +-Psi_n (``_moebius_binomials``), a monic integer polynomial.
-    """
-    phi: dict[int, Poly] = {}
-    for n in sorted({d for n in orders for d in _divisors(n)}):
-        ints = _binomial_passes([1], *_moebius_binomials(n))
-        phi[n] = Poly._from_ints(ints if n > 1 else [-c for c in ints])
-    return phi
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -574,10 +565,9 @@ class FactoredRatFun:
     """Rational function num / prod over (a, e) of (1 - z^a)^e.
 
     Any rational factor lives in the numerator's ``denom``. The factor
-    multiset is never expanded implicitly; products, derivatives, series
-    expansion and factor cancellation all act on the (a, e) pairs
-    directly. Convert with ``to_ratfun`` when a canonical reduced form is
-    wanted.
+    multiset is never expanded implicitly; sums, derivatives and factor
+    cancellation all act on the (a, e) pairs directly. Convert with
+    ``to_ratfun`` when a canonical reduced form is wanted.
     """
 
     __slots__ = ("num", "factors")
@@ -607,13 +597,6 @@ class FactoredRatFun:
     def den_poly(self) -> Poly:
         return _times_binomials(ONE, self.factors)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return FactoredRatFun(self.num * other, self.factors)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __add__(self, other):
         if not isinstance(other, FactoredRatFun):
             return NotImplemented
@@ -624,34 +607,13 @@ class FactoredRatFun:
         return FactoredRatFun(n1 + n2, common)
 
     def derivative(self) -> "FactoredRatFun":
-        """d/dz without leaving the factored representation.
+        """d/dz without leaving the factored representation: one ``_cover_horner`` step.
 
-        Each distinct factor's multiplicity rises by one, and the numerator
-        becomes num' * full + num * rest: full is the product of the distinct
-        (1 - z^a), rest the sum over them of e*a*z^(a-1) times the others.
-        Both grow one factor at a time, O(k) shifted passes for k factors.
-        No route calls this: pole sums and closed forms take their
-        derivatives on integer lists over one cover (``springer._cover_horner``).
+        Every factor's multiplicity rises by one. No route calls this: pole
+        sums and closed forms run their derivative chains on ``_cover_horner``.
         """
-        full, rest = [1], [0]
-        for a, e in self.factors:
-            # d/dz (1 - z^a)^(-e) = e*a*z^(a-1) * (1 - z^a)^(-e-1)
-            term = [0] * (a - 1) + [e * a * c for c in full]
-            _times_binomial(full, a)
-            _times_binomial(rest, a)
-            rest[: len(term)] = map(add, rest, term)
-        new_num = self.num.derivative() * Poly._from_ints(full) + self.num * Poly._from_ints(rest)
-        return FactoredRatFun(new_num, {a: e + 1 for a, e in self.factors})
-
-    def expand(self, n: int) -> list:
-        """Series coefficients through z^n; each 1/(1 - z^a) is a stride-a prefix sum."""
-        if n < 0:
-            raise ValueError("negative truncation order")
-        out = [self.num[m] for m in range(n + 1)]
-        for a, e in self.factors:
-            for _ in range(e):
-                _prefix_sums(out, a)
-        return out
+        p = _cover_horner(dict(self.factors), [(1, self.num.ints), (0, [])])
+        return FactoredRatFun(Poly._from_ints(p, self.num.denom), {a: e + 1 for a, e in self.factors})
 
     def reduced(self) -> "FactoredRatFun":
         """Cancel every (1 - z^a) factor that divides the numerator exactly."""

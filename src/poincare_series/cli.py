@@ -49,12 +49,12 @@ class UsageError(Exception):
 
 
 def _parse_degrees(text: str) -> DegreeVector:
+    parts = [p.strip() for p in text.split(",")]
+    # int() would also take "1_0", "+3" and non-ASCII digits such as "٣"
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise UsageError(f"malformed degree vector {text!r}")
     try:
-        parts = [int(p) for p in text.split(",")]
-    except ValueError:
-        raise UsageError(f"malformed degree vector {text!r}") from None
-    try:
-        return DegreeVector(tuple(parts))
+        return DegreeVector(tuple(map(int, parts)))
     except ValueError as exc:
         raise UsageError(f"malformed degree vector {text!r}: {exc}") from None
 

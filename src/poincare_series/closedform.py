@@ -6,7 +6,7 @@ these evaluate much faster than the general pipeline and cross-check it.
 The weights of the sum are integers over one denominator (n - 1)!, and
 every term lives on one cover, {2} for linear forms and {1, 2} for
 quadratics, so Horner's rule in d/dz runs as integer-list work on that
-cover (``springer._cover_horner``): n - 1 steps, no ``Fraction``.
+cover (``algebra._cover_horner``): n - 1 steps, no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -14,16 +14,23 @@ from __future__ import annotations
 from math import comb, factorial
 from operator import add
 
-from .algebra import FactoredRatFun, Poly, RatFun, _add_scaled, _binomial_passes, pochhammer
+from .algebra import (
+    FactoredRatFun,
+    Poly,
+    RatFun,
+    _add_scaled,
+    _binomial_passes,
+    _cover_horner,
+    pochhammer,
+)
 from .counting import as_degree_vector, canonical_kind
-from .springer import _cover_horner
 
 
 def _horner_sum(base: dict, terms) -> RatFun:
     """sum over s of (d/dz)^(n-1-s) of w_s N_s / (D_0 L^s), divided by (n - 1)!.
 
     terms holds the (w_s, N_s) for s = 0..n-1 on the cover of base; see
-    ``springer._cover_horner``.
+    ``algebra._cover_horner``.
     """
     steps = len(terms) - 1
     p = _cover_horner(base, terms)

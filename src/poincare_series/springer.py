@@ -25,9 +25,9 @@ The sum over k at one pole runs by Horner's rule before its multisection,
 on integer lists: every R_k there is N_k / (D_0 L^(beta_i - k)), with
 D_0 = prod (1 - z^a)^(B_a) and L the product of the distinct (1 - z^a), so
 each step (theta + c) acc / c stays on one cover that gains one L, and the
-1/c go into one integer denominator (``_cover_horner``, which also runs
-the closed forms of ``closedform``). The prefactor, an int list, multiplies
-each numerator list once, and D_0 is read off R_beta.
+1/c go into one integer denominator (``algebra._cover_horner``, which
+also runs the closed forms of ``closedform``). The prefactor, an int
+list, multiplies each numerator list once, and D_0 is read off R_beta.
 
 Everything stays in the factored-denominator representation: the
 multisection of R(z)/prod(1 - z^a) multiplies the numerator by the
@@ -52,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
-from operator import mul
 
 from .algebra import (
     ZERO,
@@ -62,9 +61,9 @@ from .algebra import (
     _add_scaled,
     _bias,
     _binomial_passes,
+    _cover_horner,
     _int_mul,
     _pack,
-    _times_binomial,
     _unpack,
     _width,
     q_shifted_factorial,
@@ -317,43 +316,6 @@ def phi_factored(f: FactoredRatFun, n: int) -> FactoredRatFun:
     return _multisect_sum([(f.num.ints, f.num.denom, f.factors, n)])
 
 
-def _cover_horner(base: dict, terms, consts=None) -> list:
-    """Numerator of a Horner sum of derivatives on one growing cover, on integer lists.
-
-    base maps each a of the cover to B_a >= 0, D_0 = prod (1 - z^a)^(B_a) and
-    L is the product of the distinct (1 - z^a). With terms = [(w_0, N_0), ...],
-    acc = w_0 N_0 / D_0 and then acc = D_s acc + w_s N_s / (D_0 L^s) for s >= 1,
-    where D_s is d/dz, or theta + consts[s - 1] when consts is given; the
-    result is P with acc = P / (D_0 L^(len(terms) - 1)). As d/dz of
-    P / (D_0 L^j) is (P' L + P (U + j V)) / (D_0 L^(j + 1)), with
-    x_a = L / (1 - z^a), U = sum B_a a z^(a-1) x_a and V = sum a z^(a-1) x_a,
-    a theta step sets P = (c P + z P') L + z P (U + j V) + w_s N_s. Neither L
-    nor U + j V is formed: one pass over the cover takes
-    acc = acc (1 - z^a) + (B_a + j) a z^(a-1) full and full = full (1 - z^a),
-    from acc = c P + z P' (or P') and full = z P (or P): 2 #cover - 1
-    binomial passes and #cover scaled adds per step.
-    """
-    (w, p), *rest = terms
-    p = [w * x for x in p]
-    cover = sorted(base)
-    for j, (w, num) in enumerate(rest):
-        if consts is None:
-            # p is not read again, so full may take it over
-            acc, full = list(map(mul, range(1, len(p)), p[1:])), p
-        else:
-            c = consts[j]
-            acc, full = list(map(mul, range(c, c + len(p)), p)), [0] + p
-        for left, a in enumerate(cover, 1 - len(cover)):
-            _times_binomial(acc, a)
-            _add_scaled(acc, a - 1, (base[a] + j) * a, full)
-            if left:
-                _times_binomial(full, a)
-        if w and num:
-            _add_scaled(acc, 0, w, num)
-        p = acc
-    return p
-
-
 def _pole_part(r_funs, m: int, prefactor: list) -> tuple:
     """The ``_multisect_sum`` part of one pole below the shift: sum_k C(theta/m + k - 1, k - 1) R_k.
 
@@ -383,11 +345,6 @@ def _pole_part(r_funs, m: int, prefactor: list) -> tuple:
     return num.ints, num.denom, [(a, b + beta - 1) for a, b in cover], m
 
 
-def _below_shift(r_funs, m: int, prefactor: list) -> FactoredRatFun:
-    """One pole below the shift: phi_m of sum_k C(theta/m + k - 1, k - 1) R_k (``_pole_part``)."""
-    return _multisect_sum([_pole_part(r_funs, m, prefactor)])
-
-
 def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> FactoredRatFun:
     """Diagonal of R(z)/(1 - t z^i)^k under t^j z^(j n) extraction.
 
@@ -401,7 +358,7 @@ def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> Factored
     if n < 1:
         raise ValueError("shift must be >= 1")
     if i < n:
-        return _below_shift([FactoredRatFun(ZERO)] * (k - 1) + [r_fun], n - i, [1])
+        return _multisect_sum([_pole_part([FactoredRatFun(ZERO)] * (k - 1) + [r_fun], n - i, [1])])
     # R(0) is num(0): every (1 - z^a) equals 1 at the origin
     if i == n:
         return FactoredRatFun(Poly([r_fun.num[0]]), {1: k})

@@ -18,6 +18,7 @@ from poincare_series.algebra import (
     Poly,
     RatFun,
     _binomial_passes,
+    _moebius_binomials,
     one_minus_z,
     pochhammer,
 )
@@ -104,7 +105,7 @@ def ref_partial_fractions(exponents):
                 m = abs(e - i)
                 x = cover.over_binomial(m)
                 if e > i:
-                    x = x * Poly.monomial(m, -1)
+                    x = x * Poly([0] * m + [-1])
                 binomial, power = [ONE], ONE
                 for j in range(1, top + 1):
                     power = power * x
@@ -113,7 +114,7 @@ def ref_partial_fractions(exponents):
                 for r in range(top, 0, -1):
                     for j in range(1, r + 1):
                         series[r] = series[r] + series[r - j] * binomial[j]
-        lead = Poly.monomial(shift, (-1) ** flips)
+        lead = Poly([0] * shift + [(-1) ** flips])
         for r in range(top, -1, -1):
             factors = {m: b + r for m, b in base.items()}
             terms.append((i, top + 1 - r, FactoredRatFun(lead * series[r], factors)))
@@ -132,18 +133,24 @@ def convolve(a, b, n):
     return out
 
 
-def geometric_series(a, n):
-    """Coefficients of 1/(1 - z^a) through z^n."""
-    return [Fraction(1) if j % a == 0 else Fraction(0) for j in range(n + 1)]
+def factored_series(f, n):
+    """Series of a FactoredRatFun num / prod (1 - z^a)^e through z^n.
 
-
-def factored_series(num_coeffs, factors, n):
-    """Series of num / prod (1 - z^a)^e by repeated convolution."""
-    out = convolve(num_coeffs, [Fraction(1)], n)
-    for a, e in factors:
+    Each 1/(1 - z^a) is the geometric series sum_j z^(a j), and the
+    convolution with it is the running sum c_m += c_(m - a), in ascending m.
+    """
+    out = [Fraction(c) for c in f.num.coeffs[: n + 1]]
+    out += [Fraction(0)] * (n + 1 - len(out))
+    for a, e in f.factors:
         for _ in range(e):
-            out = convolve(out, geometric_series(a, n), n)
+            for m in range(a, n + 1):
+                out[m] += out[m - a]
     return out
+
+
+def times_poly(f, p):
+    """The FactoredRatFun f times the polynomial p, over the same factors."""
+    return FactoredRatFun(f.num * p, f.factors)
 
 
 def multisection(coeffs, n):
@@ -229,7 +236,7 @@ def recombined_biseries(pfd, t_order, z_order):
     """Sum of A_{i,k}/(1 - t z^i)^k as a truncated double series."""
     rows = [[Fraction(0)] * (z_order + 1) for _ in range(t_order + 1)]
     for i, k, a_ik in pfd.terms:
-        coeffs = a_ik.expand(z_order)
+        coeffs = factored_series(a_ik, z_order)
         for m in range(t_order + 1):
             if i * m > z_order:
                 continue
@@ -283,7 +290,8 @@ def ref_below_shift(r_funs, m):
     """
     acc = r_funs[-1]
     for k in range(len(r_funs), 1, -1):
-        acc = acc + acc.derivative() * Poly.monomial(1, Fraction(1, m * (k - 1)))
+        deriv = acc.derivative()
+        acc = acc + FactoredRatFun(deriv.num * Poly([0, Fraction(1, m * (k - 1))]), deriv.factors)
         acc = acc + r_funs[k - 2]
     return ref_phi(acc, m)
 
@@ -296,10 +304,10 @@ def ref_all_ones(n, kind):
         scale = Fraction((-1) ** (n - k) * pochhammer(n, n - k), factorial(k - 1) * factorial(n - k))
         power = 2 * n - k - 1
         if kind == "semiinvariants":
-            term = FactoredRatFun(Poly([1, 1]) * Poly.monomial(power), {2: power + 1})
+            term = FactoredRatFun(Poly([0] * power + [scale, scale]), {2: power + 1})
         else:
-            term = FactoredRatFun(Poly.monomial(power), {2: power} if power else {})
-        acc = acc.derivative() + term * scale
+            term = FactoredRatFun(Poly([0] * power + [scale]), {2: power} if power else {})
+        acc = acc.derivative() + term
     return acc.to_ratfun()
 
 
@@ -312,11 +320,11 @@ def ref_all_twos(n, kind):
         inner = FactoredRatFun(ZERO)
         for i in range(n - k + 1):
             c = comb(n - k, i) * pochhammer(n, i) * pochhammer(n, n - k - i)
-            num = Poly.monomial(2 * n - k - i - 1, c)
+            num = Poly([0] * (2 * n - k - i - 1) + [c * scale])
             if kind == "invariants":
                 num = num * Poly([1, -1])
             inner = inner + FactoredRatFun(num, {1: n + i, 2: 2 * n - k - i})
-        acc = acc.derivative() + inner * scale
+        acc = acc.derivative() + inner
     return acc.to_ratfun()
 
 
@@ -335,3 +343,16 @@ def random_pole(rng, beta, max_num_deg=4, max_cover=3, max_exp=5):
         num = Poly(coeffs) * Fraction(1, rng.choice([1, 1, 2]))
         r_funs.append(FactoredRatFun(num, {a: b + beta - k for a, b in base.items()}))
     return r_funs
+
+
+def cyclotomics(orders) -> dict:
+    """The cyclotomic polynomial Phi_d for every divisor d of every n in ``orders``.
+
+    Each is +-Psi_n, the binomial passes of ``algebra._moebius_binomials``,
+    a monic integer polynomial.
+    """
+    phi = {}
+    for n in sorted({d for n in orders for d in range(1, n + 1) if n % d == 0}):
+        ints = _binomial_passes([1], *_moebius_binomials(n))
+        phi[n] = Poly(ints if n > 1 else [-c for c in ints])
+    return phi

@@ -13,17 +13,17 @@ from poincare_series.algebra import (
     FactoredRatFun,
     Poly,
     RatFun,
+    _pack,
+    _unpack,
     cross_equal,
-    cyclotomics,
     one_minus_z,
     pochhammer,
     poly_gcd,
-    q_block,
     q_shifted_factorial,
 )
 from poincare_series.springer import poincare_series
 
-from _oracles import factored_series, ratfun_add, ratfun_derivative, ref_expand
+from _oracles import cyclotomics, factored_series, ratfun_add, ratfun_derivative, ref_expand
 
 small_polys = st.builds(
     Poly, st.lists(st.integers(min_value=-5, max_value=5), max_size=6)
@@ -61,22 +61,6 @@ class TestPoly:
 
     def test_product(self):
         assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])
-
-    def test_monomial(self):
-        assert Poly.monomial(3, 2) == Poly([0, 0, 0, 2])
-
-    def test_negative_shift_rejected(self):
-        # as Poly.monomial rejects a negative exponent; [0] * k is [] for k < 0
-        for p in (Poly([1, 2, 3]), ZERO):
-            with pytest.raises(ValueError):
-                p.shift(-2)
-
-    def test_compose_power_multisect_roundtrip(self):
-        p = Poly([1, -2, 0, 5])
-        assert p.compose_power(3).multisect(3) == p
-
-    def test_multisect_stride(self):
-        assert Poly([1, 2, 3, 4, 5]).multisect(2) == Poly([1, 3, 5])
 
     def test_divmod_exact(self):
         q = Poly([1, 1, 1]).divexact(Poly([1, 1, 1]))
@@ -222,13 +206,15 @@ class TestRatFun:
 
 class TestBlocksAndFactorials:
     def test_q_block_identity(self):
+        # (1 - z^a)(1 + z^a + ... + z^(a(n-1))) = 1 - z^(an), the block that
+        # springer._times_block multiplies in by shift-adds of a packed integer
+        from poincare_series.springer import _times_block
+
         for a in range(1, 7):
             for n in range(1, 7):
-                assert one_minus_z(a) * q_block(n).compose_power(a) == one_minus_z(a * n)
-
-    def test_q_block_empty(self):
-        with pytest.raises(ValueError):
-            q_block(0)
+                # every digit of 1 - z^(an) fits one signed byte
+                packed = _times_block(_pack(one_minus_z(a).ints, 1), 8 * a, n)
+                assert _unpack(packed, a * n + 1, 1) == list(one_minus_z(a * n).ints)
 
     def test_pochhammer(self):
         assert pochhammer(3, 3) == 60
@@ -282,26 +268,15 @@ class TestFactoredRatFun:
         for _ in range(25):
             f = random_factored(rng)
             n = 24
-            assert f.expand(n) == factored_series(list(f.num.coeffs), f.factors, n)
+            assert f.to_ratfun().expand(n) == factored_series(f, n)
 
-    def test_add_and_mul_match_ratfun(self):
+    def test_add_matches_ratfun(self):
         rng = random.Random(8)
         from _oracles import random_factored
 
         for _ in range(20):
             f, g = random_factored(rng), random_factored(rng)
             assert (f + g).to_ratfun() == ratfun_add(f.to_ratfun(), g.to_ratfun())
-            # scalar and polynomial products, on either side, against Euclid's reduction
-            c, p = Fraction(2, 3), Poly([1, -2, 0, 3])
-            assert (f * c).to_ratfun() == (c * f).to_ratfun() == RatFun(f.num * c, f.den_poly())
-            assert (f * p).to_ratfun() == (p * f).to_ratfun() == RatFun(f.num * p, f.den_poly())
-
-    def test_times_zero_keeps_factors(self):
-        f = FactoredRatFun(Poly([1, 2]), {2: 1, 3: 2})
-        for zero in (0, Fraction(0), ZERO):
-            g = f * zero
-            assert g.is_zero() and g.num == ZERO and g.factors == f.factors
-            assert g.to_ratfun() == RatFun(ZERO)
 
     def test_derivative_matches_ratfun(self):
         rng = random.Random(9)
@@ -312,6 +287,10 @@ class TestFactoredRatFun:
         # six distinct factors, each repeated, over a rational numerator
         num = Poly([Fraction(1, 2), 0, Fraction(-5, 3), 1])
         cases.append(FactoredRatFun(num, {1: 2, 2: 3, 3: 2, 4: 2, 5: 3, 7: 2}))
+        # a zero numerator over factors, a constant and a polynomial over none:
+        # the kernel's empty-list and empty-cover paths
+        cases += [FactoredRatFun(ZERO, {2: 1, 3: 2}), FactoredRatFun(Poly([Fraction(-7, 2)]))]
+        cases.append(FactoredRatFun(Poly([2, 0, Fraction(-1, 3), 5])))
         for f in cases:
             assert f.derivative().to_ratfun() == ratfun_derivative(f.to_ratfun())
 
@@ -324,7 +303,7 @@ class TestFactoredRatFun:
     def test_value_at_zero(self):
         # every (1 - z^a) is 1 at the origin, so the value there is num(0)
         f = FactoredRatFun(Poly([3, 1]) * Fraction(1, 3), {4: 2})
-        assert f.num[0] == f.expand(0)[0] == 1
+        assert f.num[0] == factored_series(f, 0)[0] == 1
 
 
 class TestCyclotomics:
@@ -586,25 +565,6 @@ class TestNoFactoredDerivative:
             raise AssertionError("FactoredRatFun.derivative on a route")
 
         monkeypatch.setattr(FactoredRatFun, "derivative", forbidden)
-        run_every_route()
-        for kind in ("invariants", "semiinvariants"):
-            closedform.all_ones(8, kind)
-            closedform.all_twos(8, kind)
-        capsys.readouterr()
-
-
-class TestNoFactoredProduct:
-    """No route multiplies a FactoredRatFun: the pole sums multiply each
-    numerator's int list by the prefactor list once."""
-
-    def test_routes_never_call_factored_mul(self, monkeypatch, capsys):
-        from poincare_series import closedform
-
-        def forbidden(self, other):
-            raise AssertionError("FactoredRatFun product on a route")
-
-        monkeypatch.setattr(FactoredRatFun, "__mul__", forbidden)
-        monkeypatch.setattr(FactoredRatFun, "__rmul__", forbidden)
         run_every_route()
         for kind in ("invariants", "semiinvariants"):
             closedform.all_ones(8, kind)

@@ -3,7 +3,9 @@
 import importlib.util
 from pathlib import Path
 
-from poincare_series import algebra
+# Tracer.install imports cli and golden; importing them here first makes both
+# snapshots list the same package modules when this file runs on its own
+from poincare_series import algebra, cli, golden  # noqa: F401
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 

@@ -144,6 +144,12 @@ class TestUsageErrors:
             ("--d", "2", "--truncate", "-3"),
             ("--no-such-flag",),
             (),
+            # int() takes these, but a degree is ASCII digits only
+            ("--d", "1_0"),
+            ("--d", "+3"),
+            ("--d", "\u0663"),
+            ("--d", "\uff12"),
+            ("--d", "1,\u00b2"),
         ],
     )
     def test_exit_code_one(self, capsys, argv):
@@ -151,6 +157,8 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err != ""
+        if argv[:1] == ("--d",) and len(argv) == 2:
+            assert "malformed degree vector" in captured.err
 
     def test_missing_corpus_file(self, capsys):
         rc, _, err = run(capsys, "golden-check", "/no/such/corpus.txt")

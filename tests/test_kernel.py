@@ -8,15 +8,24 @@ constant, single-term and two-term operands, and divisors that are
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poincare_series.algebra import Poly, _kronecker_mul, _pack, _unpack, _width, one_minus_z
+from poincare_series.algebra import (
+    FactoredRatFun,
+    Poly,
+    _kronecker_mul,
+    _pack,
+    _unpack,
+    _width,
+    one_minus_z,
+)
+from poincare_series.springer import _packed_multisect
 
-from _oracles import convolve
+from _oracles import convolve, ref_phi
 
 
 # schoolbook reference on lists of Fractions, ascending exponents
@@ -55,21 +64,6 @@ def ref_divmod(a, b):
 
 def ref_derivative(a):
     return strip([i * c for i, c in enumerate(a)][1:])
-
-
-def ref_compose_power(a, n):
-    out = [Fraction(0)] * (n * (len(a) - 1) + 1) if a else []
-    for i, c in enumerate(a):
-        out[n * i] = c
-    return strip(out)
-
-
-def ref_multisect(a, n):
-    return strip(a[::n])
-
-
-def ref_shift(a, k):
-    return strip([0] * k + list(a)) if strip(a) else []
 
 
 def values(p: Poly):
@@ -129,6 +123,9 @@ divisor_lists = st.one_of(
 )
 
 SETTINGS = settings(deadline=None, max_examples=150)
+
+# (a, e) pairs of a multisection's factors (1 - z^a)^e
+block_factors = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2)), max_size=2)
 
 
 class TestAgainstReference:
@@ -199,20 +196,17 @@ class TestAgainstReference:
     def test_derivative(self, a):
         assert values(Poly(a).derivative()) == ref_derivative(a)
 
-    @given(coeff_lists, st.integers(1, 7))
+    @given(coeff_lists, block_factors, st.integers(1, 7))
     @SETTINGS
-    def test_compose_power(self, a, n):
-        assert values(Poly(a).compose_power(n)) == ref_compose_power(strip(a), n)
-
-    @given(coeff_lists, st.integers(1, 7))
-    @SETTINGS
-    def test_multisect(self, a, n):
-        assert values(Poly(a).multisect(n)) == ref_multisect(strip(a), n)
-
-    @given(coeff_lists, st.integers(0, 7))
-    @SETTINGS
-    def test_shift(self, a, k):
-        assert values(Poly(a).shift(k)) == ref_shift(a, k)
+    def test_multisect(self, a, factors, n):
+        # phi_n of N times the blocks ((1 - z^(a k)) / (1 - z^a))^e, k = n/gcd(a, n),
+        # on one packed integer at the width for max|N| prod k^e, against the
+        # block passes on lists
+        ints = Poly(a).ints
+        if ints:
+            width = _width(max(map(abs, ints)) * prod((n // gcd(b, n)) ** e for b, e in factors))
+            got = Poly._from_ints(_packed_multisect(ints, factors, n, width))
+            assert got == ref_phi(FactoredRatFun(Poly._from_ints(list(ints)), factors), n).num
 
 
 class TestCanonicalForm:

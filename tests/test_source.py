@@ -19,6 +19,42 @@ def test_no_bare_assert():
     assert found == []
 
 
+def test_private_names_imported_from_algebra_only():
+    # the integer kernels live in algebra; no other module's underscore name
+    # is imported elsewhere, so each one has a single home
+    found = [
+        f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module != "algebra"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
+def test_public_names():
+    import poincare_series
+
+    assert poincare_series.__all__ == [
+        "poincare_series",
+        "single_form_series",
+        "all_ones",
+        "all_twos",
+        "dimension",
+        "gamma",
+        "multiplicity_table",
+        "omega",
+        "Poly",
+        "RatFun",
+        "DegreeVector",
+        "MultiplicityTable",
+        "partial_fractions",
+        "PFD",
+        "__version__",
+    ]
+    assert [name for name in poincare_series.__all__ if not hasattr(poincare_series, name)] == []
+
 
 def _cache_refs(tree):
     """Every (node, name) naming functools.cache or functools.lru_cache, aliases included."""
