@@ -368,16 +368,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly._from_ints([i * c for i, c in enumerate(self.ints)][1:], self.denom)
 
-    def over_binomial(self, a: int) -> "Poly | None":
-        """The quotient by 1 - z^a if the division is exact, else None.
-
-        q_k = self_k + q_(k-a): the numerators' stride-a prefix sums.
-        """
-        if a < 1:
-            raise ValueError("over_binomial needs a >= 1")
-        out = _binomial_passes(self.ints, (), (a,))
-        return None if out is None else Poly._from_ints(out, self.denom)
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -436,21 +426,6 @@ def pochhammer(n: int, m: int) -> int:
     for j in range(m):
         out *= n + j
     return out
-
-
-def q_shifted_factorial(a_exp: int, q_exp: int, n: int) -> dict:
-    """Factor multiset of (1 - z^(a_exp + j*q_exp)) for j = 0..n-1.
-
-    Returned as an exponent -> multiplicity map, directly usable as a
-    FactoredRatFun denominator.
-    """
-    factors: dict[int, int] = {}
-    for j in range(n):
-        e = a_exp + j * q_exp
-        if e < 1:
-            raise ValueError(f"degenerate factor (1 - z^{e})")
-        factors[e] = factors.get(e, 0) + 1
-    return factors
 
 
 def _divisors(n: int) -> list:

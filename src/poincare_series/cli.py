@@ -16,9 +16,8 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from math import gcd, lcm
 
-from .algebra import Poly, RatFun
+from .algebra import Poly, RatFun, _binomial_passes
 from .closedform import applicable as closedform_applicable
 from .closedform import for_degree_vector as closedform_series
 from .counting import KIND_CHOICES, KINDS, DegreeVector, canonical_kind, degree_multisets, dimensions
@@ -59,44 +58,38 @@ def _parse_degrees(text: str) -> DegreeVector:
         raise UsageError(f"malformed degree vector {text!r}: {exc}") from None
 
 
-def greedy_factor(den: Poly):
-    """Split a denominator into (1 - z^a) factors, a descending, plus a remainder."""
+def _integer_parts(f: RatFun):
+    """num and den of a route result as int lists, scaled so that den starts with 1.
+
+    Every route's series counts dimensions, so its result is an integer
+    numerator over a monic integer denominator with constant term +-1.
+    """
+    num, den = f.num, f.den
+    if num.denom != 1 or den.denom != 1 or den.ints[0] not in (1, -1):
+        raise ArithmeticError("not an integer numerator over an integer denominator with den(0) = +-1")
+    sign = den.ints[0]
+    return [sign * c for c in num.ints], [sign * c for c in den.ints]
+
+
+def greedy_factor(den: list):
+    """Split a denominator int list into (1 - z^a) factors, a descending, plus a remainder list."""
     factors: dict[int, int] = {}
     rem = den
-    a = rem.degree
-    while a >= 1:
-        q = rem.over_binomial(a)
-        if q is None:
-            a -= 1
-        else:
+    for a in range(len(den) - 1, 0, -1):
+        while len(rem) > a and (q := _binomial_passes(rem, (), (a,))) is not None:
             factors[a] = factors.get(a, 0) + 1
             rem = q
     return factors, rem
 
 
-def _clear_pair(num: Poly, other: Poly):
-    """Scale two polynomials by one rational so both become integer and primitive."""
-    scale = lcm(num.denom, other.denom)
-    ni = [c * (scale // num.denom) for c in num.ints]
-    oi = [c * (scale // other.denom) for c in other.ints]
-    content = 0
-    for v in (*ni, *oi):
-        content = gcd(content, abs(v))
-    if content > 1:
-        ni = [v // content for v in ni]
-        oi = [v // content for v in oi]
-    pivot = next((v for v in oi if v), next((v for v in ni if v), 1))
-    if pivot < 0:
-        ni = [-v for v in ni]
-        oi = [-v for v in oi]
-    return ni, oi
-
-
 def _display_parts(f: RatFun):
-    """Integer-cleared numerator, greedy denominator factors, integer remainder."""
-    factors, rem = greedy_factor(f.den)
-    num_ints, rem_ints = _clear_pair(f.num, rem)
-    return num_ints, sorted(factors.items()), rem_ints
+    """Numerator, sorted greedy (1 - z^a) factors and remainder of a route result, on int lists.
+
+    The remainder keeps the constant term 1 of the denominator.
+    """
+    num, den = _integer_parts(f)
+    factors, rem = greedy_factor(den)
+    return num, sorted(factors.items()), rem
 
 
 def _factor_text(factors) -> str:
@@ -112,23 +105,16 @@ def _ints_text(values) -> str:
 
 
 def format_reduced(f: RatFun) -> str:
-    num_ints, den_ints = _clear_pair(f.num, f.den)
+    num_ints, den_ints = _integer_parts(f)
     return f"num = {_ints_text(num_ints)}\nden = {_ints_text(den_ints)}"
 
 
 def format_factored(f: RatFun) -> str:
     num_ints, factors, rem_ints = _display_parts(f)
-    num_poly = Poly(num_ints)
-    num_text = num_poly.to_string()
-    if len([c for c in num_poly.coeffs if c]) > 1:
+    num_text = Poly(num_ints).to_string()
+    if len(num_ints) - num_ints.count(0) > 1:
         num_text = f"({num_text})"
-    den_parts = []
-    if rem_ints == [] or rem_ints == [1]:
-        pass
-    elif len(rem_ints) == 1:
-        den_parts.append(str(rem_ints[0]))
-    if factors:
-        den_parts.append(_factor_text(factors))
+    den_parts = [_factor_text(factors)] if factors else []
     if len(rem_ints) > 1:
         den_parts.append(f"({Poly(rem_ints).to_string()})")
     if not den_parts:
@@ -157,7 +143,7 @@ def _emit_result(d: DegreeVector, args, f: RatFun, checks=None) -> str:
             "numerator": num_ints,
             "denominator_factors": [[a, e] for a, e in factors],
         }
-        if rem_ints not in ([], [1]):
+        if len(rem_ints) > 1:
             obj["denominator_remainder"] = rem_ints
         if args.truncate is not None:
             obj["series"] = _series_ints(f, args.truncate)
@@ -227,7 +213,7 @@ def run_golden_check(path: str | None) -> int:
     return 2 if failures else 0
 
 
-def run_crosscheck(max_n: int, max_deg: int, max_m: int, emit=print) -> int:
+def run_crosscheck(max_n: int, max_deg: int, max_m: int) -> int:
     """Run the route checks on every small system in both kinds; 0 iff all agree.
 
     A sweep with no system is a usage error, not a pass.
@@ -245,10 +231,10 @@ def run_crosscheck(max_n: int, max_deg: int, max_m: int, emit=print) -> int:
         label = ",".join(map(str, degs))
         if problems:
             failures += 1
-            emit(f"FAIL  d={label}  ({'; '.join(problems)})")
+            print(f"FAIL  d={label}  ({'; '.join(problems)})")
         else:
-            emit(f"PASS  d={label}")
-    emit(f"crosscheck: {len(systems)} systems, {failures} failures")
+            print(f"PASS  d={label}")
+    print(f"crosscheck: {len(systems)} systems, {failures} failures")
     return 2 if failures else 0
 
 

@@ -66,7 +66,6 @@ from .algebra import (
     _pack,
     _unpack,
     _width,
-    q_shifted_factorial,
 )
 from .counting import as_degree_vector, build_factored_gf, canonical_kind
 
@@ -425,7 +424,7 @@ def single_form_series(d, kind: str) -> RatFun:
     prefactor = _PREFACTOR[canonical_kind(kind)]
     parts = []
     for k in range((d + 1) // 2):
-        # _multisect_sum merges the two factor lists
-        factors = [*q_shifted_factorial(2, 2, k).items(), *q_shifted_factorial(2, 2, d - k).items()]
+        # (z^2;z^2)_k (z^2;z^2)_(d-k); _multisect_sum merges the repeated (2j, 1)
+        factors = [(2 * j, 1) for j in [*range(1, k + 1), *range(1, d - k + 1)]]
         parts.append(([0] * (k * (k + 1)) + [(-1) ** k * c for c in prefactor], 1, factors, d - 2 * k))
     return _multisect_sum(parts).to_ratfun()

@@ -103,7 +103,8 @@ def ref_partial_fractions(exponents):
             cover = prod(map(one_minus_z, base), start=ONE)
             for e, beta in others.items():
                 m = abs(e - i)
-                x = cover.over_binomial(m)
+                # long division, so this oracle shares no kernel with the prefix sums
+                x = cover.divexact(one_minus_z(m))
                 if e > i:
                     x = x * Poly([0] * m + [-1])
                 binomial, power = [ONE], ONE
@@ -297,35 +298,35 @@ def ref_below_shift(r_funs, m):
 
 
 def ref_all_ones(n, kind):
-    """The all-ones closed form by Horner's rule in d/dz on FactoredRatFun, Fraction weights."""
+    """The all-ones closed form by Horner's rule in d/dz on RatFun: the quotient rule, Euclid's gcd."""
     kind = canonical_kind(kind)
-    acc = FactoredRatFun(ZERO)
+    acc = RatFun(ZERO)
     for k in range(n, 0, -1):
         scale = Fraction((-1) ** (n - k) * pochhammer(n, n - k), factorial(k - 1) * factorial(n - k))
         power = 2 * n - k - 1
         if kind == "semiinvariants":
-            term = FactoredRatFun(Poly([0] * power + [scale, scale]), {2: power + 1})
+            term = RatFun(Poly([0] * power + [scale, scale]), one_minus_z(2) ** (power + 1))
         else:
-            term = FactoredRatFun(Poly([0] * power + [scale]), {2: power} if power else {})
-        acc = acc.derivative() + term
-    return acc.to_ratfun()
+            term = RatFun(Poly([0] * power + [scale]), one_minus_z(2) ** power)
+        acc = ratfun_add(ratfun_derivative(acc), term)
+    return acc
 
 
 def ref_all_twos(n, kind):
-    """The all-twos closed form by Horner's rule in d/dz on FactoredRatFun, Fraction weights."""
+    """The all-twos closed form by Horner's rule in d/dz on RatFun: the quotient rule, Euclid's gcd."""
     kind = canonical_kind(kind)
-    acc = FactoredRatFun(ZERO)
+    acc = RatFun(ZERO)
     for k in range(n, 0, -1):
         scale = Fraction((-1) ** (n - k), factorial(n - k) * factorial(k - 1))
-        inner = FactoredRatFun(ZERO)
+        inner = RatFun(ZERO)
         for i in range(n - k + 1):
             c = comb(n - k, i) * pochhammer(n, i) * pochhammer(n, n - k - i)
             num = Poly([0] * (2 * n - k - i - 1) + [c * scale])
             if kind == "invariants":
                 num = num * Poly([1, -1])
-            inner = inner + FactoredRatFun(num, {1: n + i, 2: 2 * n - k - i})
-        acc = acc.derivative() + inner
-    return acc.to_ratfun()
+            inner = ratfun_add(inner, RatFun(num, one_minus_z(1) ** (n + i) * one_minus_z(2) ** (2 * n - k - i)))
+        acc = ratfun_add(ratfun_derivative(acc), inner)
+    return acc
 
 
 def random_pole(rng, beta, max_num_deg=4, max_cover=3, max_exp=5):

@@ -19,7 +19,6 @@ from poincare_series.algebra import (
     one_minus_z,
     pochhammer,
     poly_gcd,
-    q_shifted_factorial,
 )
 from poincare_series.springer import poincare_series
 
@@ -220,16 +219,6 @@ class TestBlocksAndFactorials:
         assert pochhammer(3, 3) == 60
         assert pochhammer(7, 0) == 1
         assert pochhammer(1, 5) == 120
-
-    def test_q_shifted_factorial(self):
-        assert q_shifted_factorial(2, 2, 3) == {2: 1, 4: 1, 6: 1}
-        assert q_shifted_factorial(2, 2, 0) == {}
-
-    def test_q_shifted_factorial_degenerate(self):
-        with pytest.raises(ValueError):
-            q_shifted_factorial(0, 2, 1)
-        with pytest.raises(ValueError):
-            q_shifted_factorial(1, -1, 3)
 
 
 class TestFactoredRatFun:

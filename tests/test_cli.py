@@ -1,17 +1,22 @@
+import argparse
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincare_series import cli
 from poincare_series.algebra import ONE, Poly, RatFun, one_minus_z
 from poincare_series.cli import format_factored, format_reduced, greedy_factor, main
-from poincare_series.counting import degree_multisets
+from poincare_series.counting import DegreeVector, degree_multisets
 from poincare_series.springer import poincare_series
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -304,17 +309,45 @@ class TestBrokenRoute:
         assert not lines[-1].endswith(" 0 failures")
 
 
+def ref_greedy_factor(den: Poly):
+    """greedy_factor by long division: each a from deg den down to 1, while 1 - z^a divides."""
+    factors, rem = {}, den
+    for a in range(den.degree, 0, -1):
+        while rem.degree >= a:
+            q, r = divmod(rem, one_minus_z(a))
+            if r:
+                break
+            factors[a] = factors.get(a, 0) + 1
+            rem = q
+    return factors, list(rem.ints)
+
+
 class TestFormattingHelpers:
     def test_greedy_factor_known_product(self):
         den = one_minus_z(1) * one_minus_z(2) ** 2
-        factors, rem = greedy_factor(den)
+        factors, rem = greedy_factor(list(den.ints))
         assert factors == {2: 2, 1: 1}
-        assert rem == ONE
+        assert rem == [1]
 
     def test_greedy_factor_irreducible_remainder(self):
-        factors, rem = greedy_factor(Poly([1, 1, 1]))
+        factors, rem = greedy_factor([1, 1, 1])
         assert factors == {}
-        assert rem == Poly([1, 1, 1])
+        assert rem == [1, 1, 1]
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 7), st.integers(1, 3)), max_size=4),
+        st.lists(st.integers(-3, 3), max_size=4),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_greedy_factor_matches_long_division(self, cover, tail):
+        # a cover prod (1 - z^a)^e times a small remainder with constant term 1
+        den = Poly([1, *tail])
+        for a, e in cover:
+            den = den * one_minus_z(a) ** e
+        factors, rem = greedy_factor(list(den.ints))
+        assert (factors, rem) == ref_greedy_factor(den)
+        assert rem[0] == 1
+        assert prod((one_minus_z(a) ** e for a, e in factors.items()), start=Poly(rem)) == den
 
     def test_format_factored_remainder_display(self):
         f = RatFun(ONE, Poly([1, 1, 1]))
@@ -323,11 +356,15 @@ class TestFormattingHelpers:
     def test_format_factored_constant(self):
         assert format_factored(RatFun(Poly([3]))) == "3"
 
-    def test_format_reduced_clears_fractions(self):
-        from fractions import Fraction
-
-        f = RatFun(Poly([Fraction(1, 2)]), one_minus_z(1))
-        assert format_reduced(f) == "num = 1\nden = 2 -2"
+    def test_non_integer_result_rejected(self):
+        # every route's result counts dimensions: an integer numerator over a
+        # monic integer denominator with constant term +-1; anything else is
+        # a fault, not a case to display
+        args = argparse.Namespace(kind="invariants", method="springer", format="json", truncate=None)
+        for f in (RatFun(Poly([Fraction(1, 2)]), one_minus_z(1)), RatFun(ONE, Poly([2, 1]))):
+            for show in (format_reduced, format_factored, lambda f: cli._emit_result(DegreeVector((1,)), args, f)):
+                with pytest.raises(ArithmeticError):
+                    show(f)
 
 
 def checkout_env():

@@ -61,7 +61,11 @@ class TestAllTwos:
 
 
 class TestAgainstFactoredChain:
-    """The integer cover kernel gives the same reduced results as the FactoredRatFun chain."""
+    """The integer cover kernel against Horner's rule on RatFun, which shares no kernel with it.
+
+    The reference takes each derivative by the quotient rule and reduces
+    every step by Euclid's gcd (``ratfun_derivative``, ``ratfun_add``).
+    """
 
     @pytest.mark.parametrize("kind", ["invariants", "semiinvariants"])
     def test_all_ones(self, kind):
