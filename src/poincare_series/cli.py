@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from operator import mul
 
 from .algebra import Poly, RatFun, _binomial_passes
 from .closedform import applicable as closedform_applicable
@@ -122,8 +123,18 @@ def format_factored(f: RatFun) -> str:
     return f"{num_text} / {' '.join(den_parts)}"
 
 
-def _series_ints(f: RatFun, truncate: int):
-    return [int(c) if c.denominator == 1 else str(c) for c in f.expand(truncate)]
+def _series_ints(f: RatFun, truncate: int) -> list:
+    """Coefficients 0..truncate of a route result: w_m = N_m - sum_j D_j w_(m-j), on ints.
+
+    ``_integer_parts`` scales den to D_0 = 1, so no step divides.
+    """
+    num, den = _integer_parts(f)
+    # D_j for j = k..1 pairs with w_(m-k..m-1); k zeros stand for w_(<0)
+    k = len(den) - 1
+    weights, w = den[:0:-1], [0] * k
+    for m in range(truncate + 1):
+        w.append((num[m] if m < len(num) else 0) - sum(map(mul, weights, w[m:])))
+    return w[k:]
 
 
 def _emit_result(d: DegreeVector, args, f: RatFun, checks=None) -> str:

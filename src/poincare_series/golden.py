@@ -25,6 +25,7 @@ from .springer import poincare_series
 _FIELD = re.compile(r"^\s*(\w+)\s*=\s*(.*?)\s*$")
 _FIELDS = ("d", "kind", "num", "den", "sign_insensitive")
 _FACTOR = re.compile(r"\((\-?\d+)\s*,\s*(\-?\d+)\)")
+_INT = re.compile(r"[ \t]*-?[0-9]+[ \t]*")
 
 
 class CorpusError(ValueError):
@@ -48,10 +49,11 @@ class GoldenRecord:
 
 
 def _parse_ints(text: str, line_no: int, field: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise CorpusError(f"line {line_no}: field '{field}' is not a comma-separated integer list") from None
+    parts = text.split(",")
+    # int() would also take "1_0", "+3" and non-ASCII digits such as "٣"
+    if not all(_INT.fullmatch(p) for p in parts):
+        raise CorpusError(f"line {line_no}: field '{field}' is not a comma-separated integer list")
+    return tuple(map(int, parts))
 
 
 def parse_record(line: str, line_no: int) -> GoldenRecord:

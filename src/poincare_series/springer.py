@@ -35,11 +35,13 @@ geometric block of n/gcd(a, n) terms at z^a, which turns each factor into
 (1 - z^lcm(a, n)), a function of z^n; after the multisection it is
 (1 - z^(a/gcd(a, n))) with its multiplicity unchanged. The numerator is
 packed once at z = 2^W and phi_n runs as phi_p for one prime p of n after
-another: each block of p terms is a few shift-adds of that integer, each
-phi_p a strided copy of its digits' bytes, and only the result is
-unpacked. The poles' multisections are lifted to one common cover and
-added as integer lists (``_multisect_sum``, which also sums the terms of
-``single_form_series``), so one Poly is built for the whole sum.
+another: each block of p terms is a few shift-adds of that integer and
+each phi_p a strided copy of its digits' bytes. The last phi_p copies them
+into the wider digits of one width common to the sum, and each series
+stays that one integer while it is lifted to the common cover (a shift and
+a subtraction per unit (1 - z^b)) and added in; the sum is unpacked once
+(``_multisect_sum``, which also sums the terms of ``single_form_series``),
+so one Poly is built for the whole sum.
 
 The decomposition depends on the degree system alone, not on the kind,
 so each system is decomposed once (``_poles``, cached) and the invariant
@@ -58,7 +60,6 @@ from .algebra import (
     FactoredRatFun,
     Poly,
     RatFun,
-    _add_scaled,
     _bias,
     _binomial_passes,
     _cover_horner,
@@ -221,18 +222,22 @@ def _times_block(x: int, shift: int, k: int) -> int:
     return acc
 
 
-def _packed_multisect(ints, factors, n: int, width: int) -> list:
-    """phi_n of ints * prod over (a, e) of the blocks B^e, on one packed integer.
+def _packed_multisect(ints, factors, n: int, width: int, out: int) -> tuple:
+    """phi_n of ints * prod over (a, e) of the blocks B^e, packed: (value at z = 2^(8 out), size).
 
     phi_n is phi_p for one prime p of n after another: at each, the factors
     that p does not divide take the block of p terms (``_times_block``), the
     others shrink to a/p, and every p-th digit is kept, byte column by byte
-    column of the biased digits; the digits are unpacked once, after the
-    last prime. So each prime's blocks are short and act on the digits the
-    primes before it kept, where one phi_n would apply blocks of n/g terms
-    to the whole product.
+    column of the biased digits. So each prime's blocks are short and act on
+    the digits the primes before it kept, where one phi_n would apply blocks
+    of n/g terms to the whole product. Every block runs at ``width`` bytes;
+    only the last phi_p copies its byte columns into digits of ``out`` >=
+    ``width`` bytes, the same strided copy into a wider stride, whose upper
+    bytes are zero, so only that digit's bias 2^(8 width - 1) is removed.
+    With n = 1 there is no phi_p, and ints are packed at ``out``. Nothing
+    is unpacked: the caller reads the digits.
     """
-    x, size, bits, p = _pack(ints, width), len(ints), 8 * width, 2
+    x, size, bits, p = _pack(ints, width if n > 1 else out), len(ints), 8 * width, 2
     while n > 1:
         while n % p:
             p += 1
@@ -249,11 +254,13 @@ def _packed_multisect(ints, factors, n: int, width: int) -> list:
         factors = rest
         buf = (x + _bias(size, width)).to_bytes(size * width, "little")
         size = -(-size // p)
-        kept = bytearray(size * width)
+        stride = width if n > 1 else out
+        kept = bytearray(size * stride)
         for b in range(width):
-            kept[b::width] = buf[b::p * width]
-        x = int.from_bytes(kept, "little") - _bias(size, width)
-    return _unpack(x, size, width)
+            kept[b::stride] = buf[b::p * width]
+        # 2^(8 width - 1) in each digit of stride bytes: the bias at that stride, shifted down
+        x = int.from_bytes(kept, "little") - (_bias(size, stride) >> 8 * (stride - width))
+    return x, size
 
 
 def _multisect_sum(parts) -> FactoredRatFun:
@@ -268,36 +275,49 @@ def _multisect_sum(parts) -> FactoredRatFun:
     takes the largest multiplicity of each factor over the parts, a zero
     part's included.
 
-    N B^e is never formed as a list (``_packed_multisect``): N is packed
-    once at z = 2^W and unpacked once, after the multisection. Evaluation at
-    2^W is exact, so only the digits read off, after each prime, must fit. Every block has
-    nonnegative coefficients and l1 norm its length, and the lengths of a
-    factor's blocks over the primes of n multiply to k, so no digit read
-    exceeds max|N| prod k^e in absolute value, and W is whole bytes for that
-    bound. A part with no block (n = 1, or n dividing every a) is a slice.
-    Each short list is lifted to the cover by binomial passes only after
-    the multisection, scaled to the parts' common denominator and added in.
+    Each series is one packed integer from its multisection to the sum, and
+    the sum is unpacked once. N B^e is never formed as a list
+    (``_packed_multisect``): N is packed once at z = 2^(8 w) and phi_n runs
+    on that integer. Evaluation at a power of two is exact, so only the
+    digits read off must fit. Every block has nonnegative coefficients and
+    l1 norm its length, and the lengths of a factor's blocks over the primes
+    of n multiply to k, so no digit read after a prime exceeds
+    max|N| prod k^e in absolute value, and w is whole bytes for that bound.
+    The result is lifted to the cover while packed, x -= x << 8 W b per
+    missing unit (1 - z^b), scaled to the parts' common denominator and
+    added in. The coefficients of (1 - z^b) f are f_j - f_(j - b), so each
+    unit at most doubles max|coeff|, and no digit of the sum exceeds
+    sum over the nonzero parts of (common/denom) max|N| prod k^e 2^units;
+    the common width W is whole bytes for that bound. It holds the last
+    phi_p's digits too, so that copy writes straight into W; the blocks
+    stay at the part's w, which is often much narrower. A part with n = 1
+    is packed at W directly.
     """
-    outs, cover = [], {}
+    cover, owns = {}, []
     for ints, denom, factors, n in parts:
         own = {}
         for a, e in factors:
             b = a // gcd(a, n)
             own[b] = own.get(b, 0) + e
-        bound = prod((n // gcd(a, n)) ** e for a, e in factors)
-        if bound > 1 and any(ints):
-            ints = _packed_multisect(ints, factors, n, _width(max(map(abs, ints)) * bound))
-        else:
-            ints = ints[::n]
-        outs.append((ints, denom, own))
         for b, e in own.items():
             cover[b] = max(cover.get(b, 0), e)
-    common = lcm(*[denom for _, denom, _ in outs])
-    total = []
-    for ints, denom, own in outs:
-        lift = [b for b, e in cover.items() for _ in range(e - own.get(b, 0))]
-        _add_scaled(total, 0, common // denom, _binomial_passes(ints, lift, ()))
-    return FactoredRatFun(Poly._from_ints(total, common), cover)
+        owns.append(own)
+    common = lcm(*[denom for _, denom, _, _ in parts])
+    series = []
+    for (ints, denom, factors, n), own in zip(parts, owns):
+        if any(ints):
+            bound = max(map(abs, ints)) * prod((n // gcd(a, n)) ** e for a, e in factors)
+            lift = [b for b, e in cover.items() for _ in range(e - own.get(b, 0))]
+            series.append((ints, factors, n, common // denom, bound, lift))
+    width = _width(sum(scale * bound << len(lift) for _, _, _, scale, bound, lift in series))
+    bits, total, size = 8 * width, 0, 0
+    for ints, factors, n, scale, bound, lift in series:
+        x, length = _packed_multisect(ints, factors, n, _width(bound), width)
+        for b in lift:
+            x -= x << bits * b
+        total += scale * x
+        size = max(size, length + sum(lift))
+    return FactoredRatFun(Poly._from_ints(_unpack(total, size, width), common), cover)
 
 
 def phi_factored(f: FactoredRatFun, n: int) -> FactoredRatFun:

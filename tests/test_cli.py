@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poincare_series import cli
+from poincare_series import algebra, cli
 from poincare_series.algebra import ONE, Poly, RatFun, one_minus_z
 from poincare_series.cli import format_factored, format_reduced, greedy_factor, main
 from poincare_series.counting import DegreeVector, degree_multisets
-from poincare_series.springer import poincare_series
+from poincare_series.springer import _poincare_cached, poincare_series
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -101,6 +101,28 @@ class TestJsonOutput:
         obj = json.loads(out)
         assert obj["method"] == "counting"
         assert obj["series"] == [1, 0, 1, 0, 1, 0, 1]
+
+
+class TestNoFractionSeries:
+    """Series output runs the integer recurrence on num/den: no Fraction per coefficient."""
+
+    @pytest.mark.parametrize("fmt", ["series", "json"])
+    @pytest.mark.parametrize("d", ["4,5,6,7", "10,10", "2,2,2,2"])
+    def test_long_series_builds_no_fraction(self, capsys, monkeypatch, d, fmt):
+        argv = ("--d", d, "--kind", "invariants", "--format", fmt, "--truncate", "500")
+        rc, before, _ = run(capsys, *argv)
+        assert rc == 0
+        want = [int(c) for c in poincare_series(tuple(map(int, d.split(","))), "invariants").expand(500)]
+        series = before.split() if fmt == "series" else json.loads(before)["series"]
+        assert [int(c) for c in series] == want
+
+        def forbidden(*args):
+            raise AssertionError("Fraction built for series output")
+
+        # the route runs again, uncached, with no Fraction either
+        _poincare_cached.cache_clear()
+        monkeypatch.setattr(algebra, "Fraction", forbidden)
+        assert run(capsys, *argv) == (0, before, "")
 
 
 class TestMethodRouting:
@@ -298,6 +320,15 @@ class TestBrokenRoute:
         assert rc == 2
         assert f"check {broken}: MISMATCH" in out.splitlines()
         assert "check counting: ok" in out.splitlines()
+        assert err == f"verification failure: {broken}\n"
+
+    def test_series_output_reports_mismatch(self, capsys, broken):
+        # the series is printed from the operator route's num/den; the check
+        # lines still name the route that disagrees
+        rc, out, err = run(capsys, "--d", "1", "--method", "all", "--format", "series", "--truncate", "30")
+        assert rc == 2
+        assert out.splitlines()[0] == " ".join(["1"] * 31)
+        assert f"check {broken}: MISMATCH" in out.splitlines()
         assert err == f"verification failure: {broken}\n"
 
     def test_crosscheck_names_failing_route(self, capsys, broken):

@@ -58,6 +58,28 @@ class TestParsing:
         assert "line 7" in str(exc.value)
         assert needle in str(exc.value)
 
+    @pytest.mark.parametrize("entry", ["1_0", "+3", "\u0663", "\uff12", "- 3", "--3", "3.0", ""])
+    @pytest.mark.parametrize("field", ["d", "num"])
+    def test_strict_integer_entries(self, entry, field):
+        # int() would take "1_0", "+3", the Arabic-Indic digit three and the
+        # fullwidth two; only an optional "-" and ASCII digits are entries
+        fields = {"d": "2", "num": "1"}
+        fields[field] = f"1,{entry}"
+        line = f"d={fields['d']}; kind=invariants; num={fields['num']}; den=(2,1)"
+        with pytest.raises(CorpusError) as exc:
+            parse_record(line, 9)
+        assert f"line 9: field '{field}'" in str(exc.value)
+
+    def test_integer_entries_take_surrounding_whitespace(self):
+        rec = parse_record("d= 2 ,1; kind=invariants; num=1 , -2,\t3; den=(2,1)", 1)
+        assert (rec.degrees, rec.num) == ((2, 1), (1, -2, 3))
+
+    @pytest.mark.parametrize("den", ["(\u0663,1)", "(2,\uff12)", "(+2,1)", "(2,1_0)"])
+    def test_strict_integer_factors(self, den):
+        # each factor must print back as written, so these fail already
+        with pytest.raises(CorpusError, match="line 4: field 'den'"):
+            parse_record(f"d=2; kind=invariants; num=1; den={den}", 4)
+
     def test_corpus_skips_comments_and_blanks(self):
         text = "# header\n\n" + GOOD + "\n"
         records = parse_corpus(text)

@@ -198,17 +198,30 @@ class TestAgainstReference:
     def test_derivative(self, a):
         assert values(Poly(a).derivative()) == ref_derivative(a)
 
-    @given(coeff_lists, block_factors, st.integers(1, 7))
+    @given(coeff_lists, block_factors, st.integers(1, 7), st.integers(0, 3))
     @SETTINGS
-    def test_multisect(self, a, factors, n):
+    def test_multisect(self, a, factors, n, wider):
         # phi_n of N times the blocks ((1 - z^(a k)) / (1 - z^a))^e, k = n/gcd(a, n),
         # on one packed integer at the width for max|N| prod k^e, against the
-        # block passes on lists
+        # block passes on lists; the result's digits are ``wider`` bytes wider
         ints = Poly(a).ints
         if ints:
             width = _width(max(map(abs, ints)) * prod((n // gcd(b, n)) ** e for b, e in factors))
-            got = Poly._from_ints(_packed_multisect(ints, factors, n, width))
+            x, size = _packed_multisect(ints, factors, n, width, width + wider)
+            got = Poly._from_ints(_unpack(x, size, width + wider))
             assert got == ref_phi(FactoredRatFun(Poly._from_ints(list(ints)), factors), n).num
+
+    def test_multisect_into_a_wider_digit(self):
+        # one-byte blocks, negative digits at the edge of that byte, and a
+        # result three bytes wide; with n = 6 only the last phi_p (p = 3)
+        # writes the wider digits
+        ints = [-30, 20, -25, 7]
+        assert _packed_multisect(ints, [(1, 1)], 2, 1, 3) == (_pack([-30, -5, 7], 3), 3)
+        ints, factors = [-127, 3, 0, -1, 2, 1, -5], [(1, 1), (2, 1)]
+        width = _width(127 * 6 * 3)  # k = 6 for a = 1, k = 3 for a = 2
+        x, size = _packed_multisect(ints, factors, 6, width, width + 3)
+        want = ref_phi(FactoredRatFun(Poly(ints), factors), 6).num
+        assert Poly._from_ints(_unpack(x, size, width + 3)) == want
 
 
 class TestCanonicalForm:

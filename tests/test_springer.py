@@ -21,6 +21,7 @@ from poincare_series.counting import (
     degree_multisets,
     dimensions,
 )
+from poincare_series import springer
 from poincare_series.springer import (
     PFD,
     _CACHE_SIZE,
@@ -148,8 +149,6 @@ class TestPartialFractions:
 
     def test_inexact_recurrence_rejected(self, monkeypatch):
         # r S_r is checked digit by digit: a coefficient that r does not divide raises
-        from poincare_series import springer
-
         unpack = springer._unpack
 
         def off_by_one(value, size, width):
@@ -388,6 +387,78 @@ class TestMultisectSum:
         assert (got.num, got.factors) == (want.num, want.factors)
 
 
+    def test_distinct_denominators_and_lift_units(self):
+        # parts over coprime denominators, each missing units of the cover
+        # that another part brings: every part is lifted while packed
+        rng = random.Random(29)
+        lifted = 0
+        for _ in range(60):
+            parts = []
+            for denom in rng.sample([1, 2, 3, 5, 7, 12], rng.randint(2, 4)):
+                ints = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
+                factors = [(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+                parts.append((ints, denom, factors, rng.randint(1, 8)))
+            got, want = _multisect_sum(parts), pairwise_phi_sum(parts)
+            assert (got.num, got.factors) == (want.num, want.factors), parts
+            owns = [dict(ref_phi(FactoredRatFun(ONE, f), n).factors) for _, _, f, n in parts]
+            lifted += any(own != dict(got.factors) for own in owns)
+        assert lifted > 30
+
+    def test_summed_digit_at_the_common_width(self, monkeypatch):
+        # (-1)^popcount(j) c for j < 8, lifted by (1 - z)(1 - z^2)(1 - z^4), has
+        # the digit -8 c at z^7: each unit doubles it, as the width bound allows.
+        # The second part brings those units and -c2 at z^7, the third a
+        # multisection with its own lift. Over the denominators 3, 2 and 5 the
+        # digit at z^7 comes within 48 of the whole bound, a 64-bit digit in 9
+        # bytes; the bound without the doublings, or the largest part's bound
+        # alone, would give 8 bytes
+        c, c2 = 1 << 56, 1 << 58
+        parts = [
+            ([c * (-1) ** bin(j).count("1") for j in range(8)], 3, [], 1),
+            ([0] * 7 + [-c2], 2, [(1, 1), (2, 1), (4, 1)], 1),
+            ([1, -1, 1], 5, [(1, 1)], 2),
+        ]
+        reads = []
+        unpack = springer._unpack
+
+        def recorded(value, size, width):
+            digits = unpack(value, size, width)
+            reads.append((width, digits))
+            return digits
+
+        monkeypatch.setattr(springer, "_unpack", recorded)
+        got, want = _multisect_sum(parts), pairwise_phi_sum(parts)
+        assert (got.num, got.factors) == (want.num, want.factors)
+        ((width, digits),) = reads
+        bound = 10 * 8 * c + 15 * c2 + 6 * 2 * 4
+        assert bound - 48 <= -digits[7] <= bound
+        assert abs(digits[7]).bit_length() == 8 * width - 8
+
+    def test_lift_stays_packed(self, monkeypatch):
+        # no list pass lifts a part, and each sum is unpacked once
+        calls = {"passes": 0, "unpack": 0}
+        passes, unpack = springer._binomial_passes, springer._unpack
+
+        def counted_passes(*args):
+            calls["passes"] += 1
+            return passes(*args)
+
+        def counted_unpack(*args):
+            calls["unpack"] += 1
+            return unpack(*args)
+
+        monkeypatch.setattr(springer, "_binomial_passes", counted_passes)
+        monkeypatch.setattr(springer, "_unpack", counted_unpack)
+        sums = [
+            [([1, 2, 3], 5, [(2, 1), (3, 2)], 1), ([0, 1], 3, [(6, 4)], 4), ([], 1, [(7, 2)], 3)],
+            [([4, -1, 0, 2], 2, [(1, 3), (2, 1)], 6), ([1], 1, [(5, 1)], 1)],
+            [([1, -1, 4, 0, 2], 3, [(6, 2), (3, 1)], 3)],
+        ]
+        for parts in sums:
+            _multisect_sum(parts)
+        assert calls == {"passes": 0, "unpack": len(sums)}
+
+
 class TestPsiTerm:
     def test_below_shift_plain(self):
         r = FactoredRatFun(ONE_PLUS_Z, {2: 1})
@@ -538,8 +609,6 @@ class TestPoincareSeries:
         assert _poincare_cached.cache_info().hits == hits + 1
 
     def test_one_decomposition_for_both_kinds(self, monkeypatch):
-        from poincare_series import springer
-
         decompose, calls = springer.partial_fractions, []
 
         def counted(*args):
