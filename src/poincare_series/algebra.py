@@ -569,9 +569,6 @@ class FactoredRatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def den_poly(self) -> Poly:
-        return _times_binomials(ONE, self.factors)
-
     def __add__(self, other):
         if not isinstance(other, FactoredRatFun):
             return NotImplemented

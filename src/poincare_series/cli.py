@@ -25,9 +25,28 @@ from .counting import KIND_CHOICES, KINDS, DegreeVector, canonical_kind, degree_
 from .golden import CorpusError, check_corpus, shipped_corpus_path
 from .springer import poincare_series, single_form_series
 
+PROG = "poincare-series"
 METHOD_CHOICES = ("springer", "counting", "closedform", "all")
 FORMAT_CHOICES = ("reduced", "factored", "series", "json")
 DEFAULT_TRUNCATE = 10
+
+# subcommand -> (help, {argument: argparse keywords}). build_parser adds every
+# argument from here, and _plain_args parses the common argv by the same entries
+COMMANDS = {
+    "compute": ("compute one Poincare series (default)", {
+        "--d": {"required": True, "help": "comma-separated form degrees, e.g. 1,2,3"},
+        "--kind": {"choices": KIND_CHOICES, "default": "semiinvariants"},
+        "--method": {"choices": METHOD_CHOICES, "default": "springer"},
+        "--format": {"choices": FORMAT_CHOICES, "default": "reduced"},
+        "--truncate": {"type": int, "default": None, "help": "series length for series output"},
+    }),
+    "golden-check": ("replay the golden corpus", {"path": {"nargs": "?", "default": None}}),
+    "crosscheck": ("compare computation routes on small systems", {
+        "--max-n": {"type": int, "default": 8},
+        "--max-deg": {"type": int, "default": 4},
+        "--max-m": {"type": int, "default": 10},
+    }),
+}
 
 # the exact routes checked against the operator route, after counting and
 # in this order: name -> (applies to d, series for d and a kind)
@@ -77,7 +96,9 @@ def greedy_factor(den: list):
     factors: dict[int, int] = {}
     rem = den
     for a in range(len(den) - 1, 0, -1):
-        while len(rem) > a and (q := _binomial_passes(rem, (), (a,))) is not None:
+        # 1 - z^a divides rem only if rem vanishes at every a-th root of unity,
+        # so only if the coefficients at multiples of a sum to zero
+        while len(rem) > a and not sum(rem[::a]) and (q := _binomial_passes(rem, (), (a,))) is not None:
             factors[a] = factors.get(a, 0) + 1
             rem = q
     return factors, rem
@@ -180,7 +201,7 @@ def _run_counting(d: DegreeVector, args, kind: str) -> str:
 
 def _route_checks(d: DegreeVector, kind: str, f: RatFun, horizon: int) -> dict:
     """name -> whether f agrees: counting on degrees 0..horizon, each applicable route exactly."""
-    checks = {"counting": f.expand(horizon) == dimensions(d, horizon, kind)}
+    checks = {"counting": _series_ints(f, horizon) == dimensions(d, horizon, kind)}
     for name, (applies, route) in ROUTES.items():
         if applies(d):
             checks[name] = route(d, kind) == f
@@ -249,43 +270,63 @@ def run_crosscheck(max_n: int, max_deg: int, max_m: int) -> int:
     return 2 if failures else 0
 
 
+def _plain_args(argv: list):
+    """Namespace of a subcommand followed only by exact long options, each with a value.
+
+    No value may start with "-". Any other argv, and any value that argparse
+    would reject, gives None: argparse parses those, so it alone writes help,
+    usage and error text.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    specs = COMMANDS[argv[0]][1]
+    values = {name: spec.get("default") for name, spec in specs.items()}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        spec = specs.get(flag) if flag.startswith("--") else None
+        if spec is None or text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[flag] = value
+    if any(spec.get("required") and flag not in argv[1::2] for flag, spec in specs.items()):
+        return None
+    # each attribute named as argparse names it: "--max-n" -> max_n, "path" -> path
+    return argparse.Namespace(
+        command=argv[0], **{name.lstrip("-").replace("-", "_"): v for name, v in values.items()}
+    )
+
+
 # argparse keeps no state between parses, so one parser serves every request
 @lru_cache(maxsize=1)
 def build_parser() -> _Parser:
-    parser = _Parser(prog="poincare-series", description=__doc__.splitlines()[0])
+    parser = _Parser(prog=PROG, description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-
-    compute = sub.add_parser("compute", help="compute one Poincare series (default)")
-    compute.add_argument("--d", required=True, help="comma-separated form degrees, e.g. 1,2,3")
-    compute.add_argument("--kind", choices=KIND_CHOICES, default="semiinvariants")
-    compute.add_argument("--method", choices=METHOD_CHOICES, default="springer")
-    compute.add_argument("--format", choices=FORMAT_CHOICES, default="reduced")
-    compute.add_argument("--truncate", type=int, default=None, help="series length for series output")
-
-    golden = sub.add_parser("golden-check", help="replay the golden corpus")
-    golden.add_argument("path", nargs="?", default=None)
-
-    cross = sub.add_parser("crosscheck", help="compare computation routes on small systems")
-    cross.add_argument("--max-n", type=int, default=8, dest="max_n")
-    cross.add_argument("--max-deg", type=int, default=4, dest="max_deg")
-    cross.add_argument("--max-m", type=int, default=10, dest="max_m")
-
+    for command, (help_text, specs) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for name, spec in specs.items():
+            command_parser.add_argument(name, **spec)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] not in ("compute", "golden-check", "crosscheck", "-h", "--help"):
+    if argv and argv[0] not in (*COMMANDS, "-h", "--help"):
         argv = ["compute"] + argv
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        print(f"{parser.prog}: error: no request given", file=sys.stderr)
-        return 1
+    args = _plain_args(argv)
+    if args is None:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 1
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            print(f"{PROG}: error: no request given", file=sys.stderr)
+            return 1
     try:
         if args.command == "compute":
             if args.truncate is not None and args.truncate < 0:
@@ -297,7 +338,7 @@ def main(argv=None) -> int:
             raise UsageError("--max-m must be nonnegative")
         return run_crosscheck(args.max_n, args.max_deg, args.max_m)
     except (UsageError, CorpusError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -357,3 +357,18 @@ def cyclotomics(orders) -> dict:
         ints = _binomial_passes([1], *_moebius_binomials(n))
         phi[n] = Poly(ints if n > 1 else [-c for c in ints])
     return phi
+
+
+def den_poly(f: FactoredRatFun) -> Poly:
+    """The denominator prod (1 - z^a)^e of a FactoredRatFun, by Poly powers."""
+    return prod((one_minus_z(a) ** e for a, e in f.factors), start=ONE)
+
+
+def ref_greedy_factor(den: list):
+    """cli.greedy_factor without its residue pretest: the binomial trial for every a."""
+    factors, rem = {}, den
+    for a in range(len(den) - 1, 0, -1):
+        while len(rem) > a and (q := _binomial_passes(rem, (), (a,))) is not None:
+            factors[a] = factors.get(a, 0) + 1
+            rem = q
+    return factors, rem

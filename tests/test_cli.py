@@ -19,6 +19,8 @@ from poincare_series.cli import format_factored, format_reduced, greedy_factor, 
 from poincare_series.counting import DegreeVector, degree_multisets
 from poincare_series.springer import _poincare_cached, poincare_series
 
+from _oracles import ref_greedy_factor
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -243,6 +245,23 @@ class TestParserReuse:
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
+    def test_common_requests_build_no_parser(self, capsys):
+        # every request form that perfbench's CLI workload sends parses without argparse
+        requests = [
+            ("--d", "1,2,3", "--kind", kind, "--format", fmt, "--method", method, *tail)
+            for kind, fmt, tail in [
+                ("invariants", "reduced", ()),
+                ("semiinvariants", "factored", ()),
+                ("invariants", "series", ("--truncate", "12")),
+                ("semiinvariants", "json", ("--truncate", "20")),
+            ]
+            for method in ("springer", "all")
+        ]
+        requests += [("golden-check",), ("crosscheck", "--max-n", "7", "--max-deg", "4", "--max-m", "10")]
+        cli.build_parser.cache_clear()
+        assert [run(capsys, *argv)[0] for argv in requests] == [0] * len(requests)
+        assert cli.build_parser.cache_info().misses == 0
+
 
 class TestGoldenCheckCommand:
     def test_shipped_corpus_passes(self, capsys):
@@ -340,7 +359,7 @@ class TestBrokenRoute:
         assert not lines[-1].endswith(" 0 failures")
 
 
-def ref_greedy_factor(den: Poly):
+def long_division_greedy_factor(den: Poly):
     """greedy_factor by long division: each a from deg den down to 1, while 1 - z^a divides."""
     factors, rem = {}, den
     for a in range(den.degree, 0, -1):
@@ -376,9 +395,35 @@ class TestFormattingHelpers:
         for a, e in cover:
             den = den * one_minus_z(a) ** e
         factors, rem = greedy_factor(list(den.ints))
-        assert (factors, rem) == ref_greedy_factor(den)
+        assert (factors, rem) == long_division_greedy_factor(den)
         assert rem[0] == 1
         assert prod((one_minus_z(a) ** e for a, e in factors.items()), start=Poly(rem)) == den
+
+    @pytest.mark.parametrize(
+        "systems",
+        [degree_multisets(12, 6), [(20,), (30,), (40,), (4, 5, 6, 7), (3, 4, 5, 6, 7)]],
+        ids=["small", "growth"],
+    )
+    def test_greedy_factor_pretest_changes_nothing(self, systems):
+        # greedy_factor skips the trial of 1 - z^a when the coefficients at
+        # multiples of a do not sum to zero; every result stays as without it
+        for degs in systems:
+            for kind in ("invariants", "semiinvariants"):
+                _, den = cli._integer_parts(poincare_series(degs, kind))
+                assert greedy_factor(den) == ref_greedy_factor(den), (degs, kind)
+
+    def test_greedy_factor_trial_after_zero_residue_sum(self, monkeypatch):
+        # at a = 2 the coefficients 1 and -1 of 1 + z - z^2 at z^0 and z^2 sum
+        # to zero, yet 1 - z^2 does not divide it: the full trial must reject it
+        tried = []
+
+        def passes(ints, times, over):
+            tried.append(over)
+            return algebra._binomial_passes(ints, times, over)
+
+        monkeypatch.setattr(cli, "_binomial_passes", passes)
+        assert greedy_factor([1, 1, -1]) == ({}, [1, 1, -1]) == ref_greedy_factor([1, 1, -1])
+        assert tried == [(2,)]
 
     def test_format_factored_remainder_display(self):
         f = RatFun(ONE, Poly([1, 1, 1]))

@@ -1,7 +1,9 @@
 """Fuzzing of the command line and the corpus parser.
 
-Any argument vector ends in exit code 0, 1 or 2, never in an exception,
-and the corpus parser rejects malformed text only with CorpusError.
+Any argument vector ends in exit code 0, 1 or 2, never in an exception;
+whenever the plain-argv parse of ``cli.main`` accepts one, it gives the
+Namespace that argparse gives; and the corpus parser rejects malformed
+text only with CorpusError.
 Degrees stay at most 4 and every count at most 8, so each example runs
 in milliseconds.
 """
@@ -14,6 +16,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poincare_series import cli
 from poincare_series.cli import main
 from poincare_series.golden import CorpusError, parse_corpus
 
@@ -59,6 +62,22 @@ def command_argv(command):
 
 argv_lists = st.sampled_from(sorted(COMMAND_FLAGS)).flatmap(command_argv)
 
+# forms only argparse takes: "=" values, abbreviations, dash values, help, "--"
+ARGPARSE_TOKENS = ["--d=2", "--tru", "-3", "", "-h", "--"]
+
+
+def insert_tokens(parts):
+    argv, inserts = parts
+    argv = list(argv)
+    for index, token in inserts:
+        argv.insert(index % (len(argv) + 1), token)
+    return argv
+
+
+argv_with_argparse_forms = st.tuples(
+    argv_lists, st.lists(st.tuples(st.integers(0, 12), st.sampled_from(ARGPARSE_TOKENS)), max_size=2)
+).map(insert_tokens)
+
 CORPUS_PIECES = [
     "d=1,2", "d=4", "d=2,2", "d=0", "d=a", "d=", "kind=invariants", "kind=semiinvariants",
     "kind=covariants", "num=1", "num=1,-1,1", "num=", "num=x", "den=(1,1)", "den=(2,1)(1,2)",
@@ -78,6 +97,20 @@ def exit_code(argv) -> int:
 @example(["crosscheck", "--max-m", "-1"])
 def test_main_exit_code(argv):
     assert exit_code(argv) in (0, 1, 2)
+
+
+@given(argv_with_argparse_forms)
+@settings(deadline=None, max_examples=500)
+@example(["compute", "--d", "2,1", "--kind", "kernel", "--truncate", "3", "--d", "4"])
+@example(["crosscheck", "--max-n", "5", "--max-m", "0"])
+@example(["golden-check"])
+def test_plain_parse_matches_argparse(argv):
+    # main puts "compute" first when no subcommand is named
+    if not argv or argv[0] not in cli.COMMANDS:
+        argv = ["compute", *argv]
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert plain == cli.build_parser().parse_args(argv)
 
 
 @given(st.one_of(st.binary(max_size=32), corpus_text.map(str.encode)))
