@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, index, mul, sub
 
 
@@ -146,6 +146,28 @@ def _binomial_passes(ints, times, over) -> "list | None":
             return None
         del out[-a:]
     return out
+
+
+def _series_ints(num, den, n: int) -> list:
+    """Coefficients 0..n of num / den on int lists with den[0] == 1: w_m = N_m - sum_j D_j w_(m-j).
+
+    With D_0 = 1 no step divides.
+    """
+    # D_j for j = k..1 pairs with w_(m-k..m-1); k zeros stand for w_(<0)
+    k = len(den) - 1
+    weights, w = den[:0:-1], [0] * k
+    for m in range(n + 1):
+        w.append((num[m] if m < len(num) else 0) - sum(map(mul, weights, w[m:])))
+    return w[k:]
+
+
+def _factor_text(factors) -> str:
+    """(1-z^a)^e for each (a, e), space-separated; (1-z) for a = 1, no exponent for e = 1."""
+    parts = []
+    for a, e in factors:
+        base = f"(1-z^{a})" if a > 1 else "(1-z)"
+        parts.append(f"{base}^{e}" if e > 1 else base)
+    return " ".join(parts)
 
 
 def _cover_horner(base: dict, terms, consts=None) -> list:
@@ -422,10 +444,7 @@ def pochhammer(n: int, m: int) -> int:
     """Rising factorial n (n+1) ... (n+m-1); empty product for m = 0."""
     if m < 0:
         raise ValueError("negative length")
-    out = 1
-    for j in range(m):
-        out *= n + j
-    return out
+    return prod(range(n, n + m))
 
 
 def _divisors(n: int) -> list:
@@ -514,26 +533,20 @@ class RatFun:
     def expand(self, n: int) -> list:
         """Power series coefficients at z = 0 through z^n inclusive, as Fractions.
 
-        On the numerators N of num and D of den, with d0 = D_0, the integers
-        w_m = N_m d0^m - sum_j D_j w_(m-j) d0^(j-1) give coefficient m as
-        den.denom w_m / (num.denom d0^(m+1)); route results have d0 = +-1.
+        On the numerators N of num and D of den, with d0 = D_0, ``_series_ints``
+        of N_m d0^m over D_j d0^(j-1) (constant term 1) gives integers w_m, and
+        coefficient m is den.denom w_m / (num.denom d0^(m+1)); routes give d0 = +-1.
         """
         if n < 0:
             raise ValueError("negative truncation order")
         nums, dens = self.num.ints, self.den.ints
-        d0, k = dens[0], len(dens) - 1
+        d0 = dens[0]
         if not d0:
             raise ValueError("not a power series at the origin")
-        # D_j d0^(j-1) for j = k..1 pairs with w_(m-k..m-1); k zeros stand for w_(<0)
-        weights = [dens[j] * d0 ** (j - 1) for j in range(k, 0, -1)]
-        w, out, power = [0] * k, [], 1
-        for m in range(n + 1):
-            x = nums[m] * power if m < len(nums) else 0
-            x -= sum(map(mul, weights, w[m:]))
-            w.append(x)
-            power *= d0
-            out.append(Fraction(self.den.denom * x, self.num.denom * power))
-        return out
+        # d0^0 .. d0^(n+1); the N_m and D_j that zip drops reach no coefficient up to z^n
+        powers = list(accumulate(repeat(d0, n + 1), mul, initial=1))
+        w = _series_ints(list(map(mul, nums, powers)), [1, *map(mul, dens[1:], powers)], n)
+        return [Fraction(self.den.denom * x, self.num.denom * p) for x, p in zip(w, powers[1:])]
 
 
 class FactoredRatFun:
@@ -561,10 +574,7 @@ class FactoredRatFun:
         self.factors = tuple(sorted(merged.items()))
 
     def __repr__(self):
-        fac = " ".join(
-            f"(1-z^{a})^{e}" if e > 1 else f"(1-z^{a})" for a, e in self.factors
-        )
-        return f"FactoredRatFun(({self.num.to_string()}) / {fac or '1'})"
+        return f"FactoredRatFun(({self.num.to_string()}) / {_factor_text(self.factors) or '1'})"
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -16,9 +16,8 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from operator import mul
 
-from .algebra import Poly, RatFun, _binomial_passes
+from .algebra import Poly, RatFun, _binomial_passes, _factor_text, _series_ints
 from .closedform import applicable as closedform_applicable
 from .closedform import for_degree_vector as closedform_series
 from .counting import KIND_CHOICES, KINDS, DegreeVector, canonical_kind, degree_multisets, dimensions
@@ -114,14 +113,6 @@ def _display_parts(f: RatFun):
     return num, sorted(factors.items()), rem
 
 
-def _factor_text(factors) -> str:
-    parts = []
-    for a, e in factors:
-        base = f"(1-z^{a})" if a > 1 else "(1-z)"
-        parts.append(f"{base}^{e}" if e > 1 else base)
-    return " ".join(parts)
-
-
 def _ints_text(values) -> str:
     return " ".join(str(v) for v in values)
 
@@ -144,24 +135,10 @@ def format_factored(f: RatFun) -> str:
     return f"{num_text} / {' '.join(den_parts)}"
 
 
-def _series_ints(f: RatFun, truncate: int) -> list:
-    """Coefficients 0..truncate of a route result: w_m = N_m - sum_j D_j w_(m-j), on ints.
-
-    ``_integer_parts`` scales den to D_0 = 1, so no step divides.
-    """
-    num, den = _integer_parts(f)
-    # D_j for j = k..1 pairs with w_(m-k..m-1); k zeros stand for w_(<0)
-    k = len(den) - 1
-    weights, w = den[:0:-1], [0] * k
-    for m in range(truncate + 1):
-        w.append((num[m] if m < len(num) else 0) - sum(map(mul, weights, w[m:])))
-    return w[k:]
-
-
 def _emit_result(d: DegreeVector, args, f: RatFun, checks=None) -> str:
     if args.format == "series":
         truncate = args.truncate if args.truncate is not None else DEFAULT_TRUNCATE
-        body = _ints_text(_series_ints(f, truncate))
+        body = _ints_text(_series_ints(*_integer_parts(f), truncate))
     elif args.format == "reduced":
         body = format_reduced(f)
     elif args.format == "factored":
@@ -178,7 +155,7 @@ def _emit_result(d: DegreeVector, args, f: RatFun, checks=None) -> str:
         if len(rem_ints) > 1:
             obj["denominator_remainder"] = rem_ints
         if args.truncate is not None:
-            obj["series"] = _series_ints(f, args.truncate)
+            obj["series"] = _series_ints(*_integer_parts(f), args.truncate)
         if checks is not None:
             obj["checks"] = checks
         return json.dumps(obj)
@@ -201,7 +178,7 @@ def _run_counting(d: DegreeVector, args, kind: str) -> str:
 
 def _route_checks(d: DegreeVector, kind: str, f: RatFun, horizon: int) -> dict:
     """name -> whether f agrees: counting on degrees 0..horizon, each applicable route exactly."""
-    checks = {"counting": _series_ints(f, horizon) == dimensions(d, horizon, kind)}
+    checks = {"counting": _series_ints(*_integer_parts(f), horizon) == dimensions(d, horizon, kind)}
     for name, (applies, route) in ROUTES.items():
         if applies(d):
             checks[name] = route(d, kind) == f
@@ -339,6 +316,9 @@ def main(argv=None) -> int:
         return run_crosscheck(args.max_n, args.max_deg, args.max_m)
     except (UsageError, CorpusError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"{PROG}: error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -14,6 +14,7 @@ names.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from operator import index
@@ -105,12 +106,7 @@ def build_factored_gf(d) -> dict:
     about d* and sum to the number of variables.
     """
     d = as_degree_vector(d)
-    shift = d.d_star
-    beta: dict[int, int] = {}
-    for w in d.weights():
-        e = shift - w
-        beta[e] = beta.get(e, 0) + 1
-    return beta
+    return dict(Counter(d.d_star - w for w in d.weights()))
 
 
 def _packed_rows(d, horizon: int) -> tuple:

@@ -219,6 +219,9 @@ class TestBlocksAndFactorials:
         assert pochhammer(3, 3) == 60
         assert pochhammer(7, 0) == 1
         assert pochhammer(1, 5) == 120
+        assert pochhammer(0, 3) == 0
+        with pytest.raises(ValueError):
+            pochhammer(2, -1)
 
 
 class TestFactoredRatFun:
@@ -229,6 +232,10 @@ class TestFactoredRatFun:
             one_minus_z(2) * one_minus_z(1) ** 2,
         )
         assert f.to_ratfun() == explicit
+
+    def test_repr(self):
+        assert repr(FactoredRatFun(Poly([1, 2]), {1: 1, 3: 2})) == "FactoredRatFun((1 + 2z) / (1-z) (1-z^3)^2)"
+        assert repr(FactoredRatFun(Poly([0, 0, -1]))) == "FactoredRatFun((-z^2) / 1)"
 
     def test_merges_duplicate_factors(self):
         f = FactoredRatFun(ONE, ((2, 1), (2, 2)))

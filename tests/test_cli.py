@@ -218,6 +218,22 @@ class TestUsageErrors:
         assert out == ""
         assert "--max-m must be nonnegative" in err
 
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("dimensions", ("--d", "1,2", "--method", "counting", "--format", "series", "--truncate", "3")),
+            ("poincare_series", ("--d", "1,2")),
+        ],
+    )
+    def test_out_of_memory_is_one_message(self, capsys, monkeypatch, target, argv):
+        # stands in for a request too large to hold, such as counting (1,2) to 3,000,000
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, target, exhausted)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (1, "", "poincare-series: error: out of memory\n")
+
 
 class TestParserReuse:
     """main builds its parser once; a failed parse leaves nothing behind in it."""

@@ -113,3 +113,14 @@ def test_kind_names_decided_in_counting_only():
                 defined.add(path.name)
     assert spelled == {"counting.py"}
     assert defined == {"counting.py"}
+
+
+def test_series_and_factor_text_defined_in_algebra_only():
+    # the CLI and RatFun.expand share one series recurrence and one (1-z^a)^e formatter
+    defined = {
+        (node.name, path.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_series_ints", "_factor_text")
+    }
+    assert defined == {("_series_ints", "algebra.py"), ("_factor_text", "algebra.py")}
