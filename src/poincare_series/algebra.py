@@ -400,7 +400,7 @@ class Poly:
             return Poly._from_ints([-c for c in self.ints], -lead)
         return Poly._from_ints(list(self.ints), lead)
 
-    def to_string(self, var: str = "z") -> str:
+    def to_string(self) -> str:
         """Human-readable form, ascending exponents: 1 + 4z + 2z^3."""
         if not self.ints:
             return "0"
@@ -413,7 +413,7 @@ class Poly:
             else:
                 mag = abs(c)
                 coeff = "" if mag == 1 else str(mag)
-                body = f"{coeff}{var}" if i == 1 else f"{coeff}{var}^{i}"
+                body = f"{coeff}z" if i == 1 else f"{coeff}z^{i}"
                 if c < 0:
                     body = "-" + body
             parts.append(body)

@@ -55,13 +55,6 @@ ROUTES = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 class UsageError(Exception):
     pass
 
@@ -135,10 +128,9 @@ def format_factored(f: RatFun) -> str:
     return f"{num_text} / {' '.join(den_parts)}"
 
 
-def _emit_result(d: DegreeVector, args, f: RatFun, checks=None) -> str:
+def _emit_result(d: DegreeVector, args, f: RatFun, horizon: int, checks=None) -> str:
     if args.format == "series":
-        truncate = args.truncate if args.truncate is not None else DEFAULT_TRUNCATE
-        body = _ints_text(_series_ints(*_integer_parts(f), truncate))
+        body = _ints_text(_series_ints(*_integer_parts(f), horizon))
     elif args.format == "reduced":
         body = format_reduced(f)
     elif args.format == "factored":
@@ -155,25 +147,13 @@ def _emit_result(d: DegreeVector, args, f: RatFun, checks=None) -> str:
         if len(rem_ints) > 1:
             obj["denominator_remainder"] = rem_ints
         if args.truncate is not None:
-            obj["series"] = _series_ints(*_integer_parts(f), args.truncate)
+            obj["series"] = _series_ints(*_integer_parts(f), horizon)
         if checks is not None:
             obj["checks"] = checks
         return json.dumps(obj)
     if checks is not None:
         body += "".join(f"\ncheck {name}: {'ok' if ok else 'MISMATCH'}" for name, ok in checks.items())
     return body
-
-
-def _run_counting(d: DegreeVector, args, kind: str) -> str:
-    if args.format in ("reduced", "factored"):
-        raise UsageError("method=counting produces series output only; use --format series or json")
-    truncate = args.truncate if args.truncate is not None else DEFAULT_TRUNCATE
-    dims = dimensions(d, truncate, kind)
-    if args.format == "series":
-        return _ints_text(dims)
-    return json.dumps(
-        {"d": list(d.degrees), "kind": args.kind, "method": "counting", "series": dims}
-    )
 
 
 def _route_checks(d: DegreeVector, kind: str, f: RatFun, horizon: int) -> dict:
@@ -186,24 +166,31 @@ def _route_checks(d: DegreeVector, kind: str, f: RatFun, horizon: int) -> dict:
 
 
 def run_compute(args) -> int:
+    """Print one series; horizon is the series length and the counting horizon of the checks."""
+    horizon = DEFAULT_TRUNCATE if args.truncate is None else args.truncate
+    if horizon < 0:
+        raise UsageError("--truncate must be nonnegative")
     d = _parse_degrees(args.d)
     kind = canonical_kind(args.kind)
     if args.method == "counting":
-        print(_run_counting(d, args, kind))
+        if args.format in ("reduced", "factored"):
+            raise UsageError("method=counting produces series output only; use --format series or json")
+        dims = dimensions(d, horizon, kind)
+        obj = {"d": list(d.degrees), "kind": args.kind, "method": "counting", "series": dims}
+        print(_ints_text(dims) if args.format == "series" else json.dumps(obj))
         return 0
     if args.method == "closedform":
         applies, route = ROUTES["closedform"]
         if not applies(d):
             raise UsageError("method=closedform covers all-ones and all-twos systems only")
-        print(_emit_result(d, args, route(d, kind)))
+        print(_emit_result(d, args, route(d, kind), horizon))
         return 0
     f = poincare_series(d, kind)
     if args.method == "springer":
-        print(_emit_result(d, args, f))
+        print(_emit_result(d, args, f, horizon))
         return 0
-    horizon = args.truncate if args.truncate is not None else DEFAULT_TRUNCATE
     checks = _route_checks(d, kind, f, horizon)
-    print(_emit_result(d, args, f, checks))
+    print(_emit_result(d, args, f, horizon, checks))
     if not all(checks.values()):
         bad = ", ".join(name for name, ok in checks.items() if not ok)
         print(f"verification failure: {bad}", file=sys.stderr)
@@ -279,8 +266,8 @@ def _plain_args(argv: list):
 
 # argparse keeps no state between parses, so one parser serves every request
 @lru_cache(maxsize=1)
-def build_parser() -> _Parser:
-    parser = _Parser(prog=PROG, description=__doc__.splitlines()[0])
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=PROG, description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
     for command, (help_text, specs) in COMMANDS.items():
         command_parser = sub.add_parser(command, help=help_text)
@@ -299,15 +286,14 @@ def main(argv=None) -> int:
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 1
+            # argparse exits 0 after help and 2 on a usage error, which is 1 here
+            return 1 if exc.code else 0
         if args.command is None:
             parser.print_usage(sys.stderr)
             print(f"{PROG}: error: no request given", file=sys.stderr)
             return 1
     try:
         if args.command == "compute":
-            if args.truncate is not None and args.truncate < 0:
-                raise UsageError("--truncate must be nonnegative")
             return run_compute(args)
         if args.command == "golden-check":
             return run_golden_check(args.path)

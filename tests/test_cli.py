@@ -235,6 +235,33 @@ class TestUsageErrors:
         assert (rc, out, err) == (1, "", "poincare-series: error: out of memory\n")
 
 
+class TestArgparseExitStatus:
+    """main maps argparse's exits: 0 after help, 1 for every usage error."""
+
+    @pytest.mark.parametrize(
+        "argv", [("-h",), ("--help",), ("compute", "-h"), ("crosscheck", "-h"), ("golden-check", "-h")]
+    )
+    def test_help_exits_zero(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert out.startswith("usage: poincare-series")
+
+    @pytest.mark.parametrize(
+        "argv", [("--d", "2", "--kind", "nope"), ("crosscheck", "--max-n", "q"), ("golden-check", "a", "b")]
+    )
+    def test_usage_error_exits_one(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("usage: poincare-series")
+        assert re.search(r"^poincare-series[a-z -]*: error: ", err, re.M)
+
+    def test_empty_argv_exits_one(self, capsys):
+        rc, out, err = run(capsys)
+        assert (rc, out) == (1, "")
+        assert err.startswith("usage: poincare-series")
+        assert err.endswith("poincare-series: error: no request given\n")
+
+
 class TestParserReuse:
     """main builds its parser once; a failed parse leaves nothing behind in it."""
 
@@ -454,7 +481,7 @@ class TestFormattingHelpers:
         # a fault, not a case to display
         args = argparse.Namespace(kind="invariants", method="springer", format="json", truncate=None)
         for f in (RatFun(Poly([Fraction(1, 2)]), one_minus_z(1)), RatFun(ONE, Poly([2, 1]))):
-            for show in (format_reduced, format_factored, lambda f: cli._emit_result(DegreeVector((1,)), args, f)):
+            for show in (format_reduced, format_factored, lambda f: cli._emit_result(DegreeVector((1,)), args, f, 10)):
                 with pytest.raises(ArithmeticError):
                     show(f)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from poincare_series import golden
 from poincare_series.golden import (
     CorpusError,
     check_corpus,
@@ -101,17 +102,31 @@ class TestChecking:
         ok, _ = check_record(parse_record(strict, 1))
         assert not ok
 
-    def test_shipped_corpus_all_pass(self):
+    def test_unmatched_degrees_fail_before_any_product(self, monkeypatch):
+        # f.num * (1-z)^2 (1-z^2)^3000000 cannot have the degree of 1 * f.den
+        def no_passes(*_args):
+            raise AssertionError("binomial passes ran")
+
+        monkeypatch.setattr(golden, "_times_binomials", no_passes)
+        for den in ("(1,2)(2,3000000)", "(1,2)(2,99999999999999999999)", "(1,1)(2,1)"):
+            ok, computed = check_record(parse_record(f"d=1,1; kind=semiinvariants; num=1; den={den}", 1))
+            assert not ok
+            assert computed.expand(4) == [1, 2, 4, 6, 9]
+
+    def test_trailing_zero_numerator_entries_still_pass(self):
+        ok, _ = check_record(parse_record(GOOD.replace("num=1;", "num=1,0,0;"), 1))
+        assert ok
+
+    def test_shipped_corpus_all_pass(self, capsys):
         with open(shipped_corpus_path(), encoding="utf-8") as handle:
             text = handle.read()
-        lines = []
-        failures = check_corpus(text, emit=lines.append)
+        failures = check_corpus(text)
+        lines = capsys.readouterr().out.splitlines()
         assert failures == 0
         assert lines[-1] == "golden-check: 12 records, 0 failures"
         assert all(line.startswith("PASS") for line in lines[:-1])
 
-    def test_empty_corpus_rejected(self):
-        lines = []
+    def test_empty_corpus_rejected(self, capsys):
         with pytest.raises(CorpusError, match="no records"):
-            check_corpus("# only comments\n", emit=lines.append)
-        assert lines == []
+            check_corpus("# only comments\n")
+        assert capsys.readouterr().out == ""
