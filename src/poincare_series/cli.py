@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
 
 from .algebra import Poly, RatFun, _binomial_passes, _factor_text, _series_ints
 from .closedform import applicable as closedform_applicable
@@ -148,10 +147,10 @@ def _emit_result(d: DegreeVector, args, f: RatFun, horizon: int, checks=None) ->
             obj["denominator_remainder"] = rem_ints
         if args.truncate is not None:
             obj["series"] = _series_ints(*_integer_parts(f), horizon)
-        if checks is not None:
+        if checks:
             obj["checks"] = checks
         return json.dumps(obj)
-    if checks is not None:
+    if checks:
         body += "".join(f"\ncheck {name}: {'ok' if ok else 'MISMATCH'}" for name, ok in checks.items())
     return body
 
@@ -179,20 +178,16 @@ def run_compute(args) -> int:
         obj = {"d": list(d.degrees), "kind": args.kind, "method": "counting", "series": dims}
         print(_ints_text(dims) if args.format == "series" else json.dumps(obj))
         return 0
+    route = poincare_series
     if args.method == "closedform":
         applies, route = ROUTES["closedform"]
         if not applies(d):
             raise UsageError("method=closedform covers all-ones and all-twos systems only")
-        print(_emit_result(d, args, route(d, kind), horizon))
-        return 0
-    f = poincare_series(d, kind)
-    if args.method == "springer":
-        print(_emit_result(d, args, f, horizon))
-        return 0
-    checks = _route_checks(d, kind, f, horizon)
+    f = route(d, kind)
+    checks = _route_checks(d, kind, f, horizon) if args.method == "all" else {}
     print(_emit_result(d, args, f, horizon, checks))
-    if not all(checks.values()):
-        bad = ", ".join(name for name, ok in checks.items() if not ok)
+    bad = ", ".join(name for name, ok in checks.items() if not ok)
+    if bad:
         print(f"verification failure: {bad}", file=sys.stderr)
         return 2
     return 0
@@ -214,6 +209,8 @@ def run_crosscheck(max_n: int, max_deg: int, max_m: int) -> int:
 
     A sweep with no system is a usage error, not a pass.
     """
+    if max_m < 0:
+        raise UsageError("--max-m must be nonnegative")
     systems = degree_multisets(max_n, max_deg)
     if not systems:
         raise UsageError(f"no degree system has sum(d_k + 1) <= {max_n} and d_k <= {max_deg}")
@@ -264,8 +261,6 @@ def _plain_args(argv: list):
     )
 
 
-# argparse keeps no state between parses, so one parser serves every request
-@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=PROG, description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
@@ -297,8 +292,6 @@ def main(argv=None) -> int:
             return run_compute(args)
         if args.command == "golden-check":
             return run_golden_check(args.path)
-        if args.max_m < 0:
-            raise UsageError("--max-m must be nonnegative")
         return run_crosscheck(args.max_n, args.max_deg, args.max_m)
     except (UsageError, CorpusError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
@@ -306,10 +299,6 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"{PROG}: error: out of memory", file=sys.stderr)
         return 1
-
-
-def entry():
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

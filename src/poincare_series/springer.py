@@ -115,14 +115,9 @@ def _pole_series(below: dict, above: dict, top: int) -> list:
             series.append(s_r)
         return series
     cover = _binomial_passes([1], dists, ())
-    # the l1 majorants of partial_fractions: t[r] of S_r, u of L and every r S_r
-    scale, weight = 1 << len(dists) - 1, sum(below.values()) + sum(above.values())
-    t, u = [1], 0
-    for r in range(1, top + 1):
-        total = weight * sum(scale**j * t[r - j] for j in range(1, r + 1))
-        t.append(-(-total // r))
-        u = max(u, total)
-    width = _width(u // 2)
+    # the l1 bound of partial_fractions: top T_top, T_r = C(beta + r - 1, r) 2^((#m - 1) r)
+    beta = sum(below.values()) + sum(above.values())
+    width = _width((top * comb(beta + top - 1, top) << (len(dists) - 1) * top) // 2)
     bits = 8 * width
     # evaluated at z = 2^bits: lifted is L, sums[j] is P_j and packed[r] is S_r
     lifted = _pack(cover, width)
@@ -169,21 +164,23 @@ def partial_fractions(exponents: dict, shift: "int | None" = None) -> PFD:
     the exact quotient L(2^W) / (1 - 2^(W m)), z^(m j) is a left shift, and
     r S_r is unpacked once, to check that r divides every coefficient, so
     S_r(2^W) is the exact quotient by r. W is whole bytes with room for
-    every coefficient of L and of every r S_r: ||x_m||_1 <= 2^(#m - 1), so
-    ||P_j||_1 <= p_j = 2^((#m - 1) j) sum_(e != i) beta_e, T_0 = 1 and
-    T_r = ceil(sum_j p_j T_(r-j) / r) bound ||S_r||_1. With two or more
-    distances every x_m keeps the factor (1 - z^m') of another distance, so
-    every P_j, and with it every r S_r, vanishes at z = 1 as L does, and no
-    coefficient exceeds half of these l1 bounds. With one distance m that
-    fails: x_m = 1, P_j(1) = beta_(i-m) + (-1)^j beta_(i+m) need not vanish,
-    and S_r = C(beta + r - 1, r) reaches its whole bound when that exponent
-    lies below the pole. So that case reads S_r off the two binomial series
+    every coefficient of L and of every r S_r: ||y_e||_1 <= 2^(#m - 1), #m
+    the number of distances, so with beta = sum_(e != i) beta_e >= #m,
+    ||S_r||_1 <= T_r = C(beta + r - 1, r) 2^((#m - 1) r), the v^r
+    coefficient of (1 - 2^(#m - 1) v)^(-beta). r T_r grows with r, so with
+    top = beta_i - 1, top T_top bounds ||L||_1 = 2^#m and every ||r S_r||_1.
+    With two or more distances every x_m keeps the factor (1 - z^m') of
+    another distance, so every P_j, and with it every r S_r, vanishes at
+    z = 1 as L does: no coefficient exceeds top T_top / 2, and
+    W = _width(top T_top // 2). With one distance m that fails: x_m = 1,
+    P_j(1) = beta_(i-m) + (-1)^j beta_(i+m) need not vanish, and
+    S_r = C(beta + r - 1, r) reaches its whole bound when that exponent lies
+    below the pole. So that case reads S_r off the two binomial series
     directly, which exactness needs: packed at the halved width, the poles
-    of (1,)*16 overflow. A_{i, beta_i - r} is the
-    sign and z-power above times S_r, over prod_m (1 - z^m)^(B_m + r), B_m
-    the sum of beta_e at distance m. Every k = 1..beta_i is emitted, zero
-    coefficients included, for every pole i, or for the poles i < shift
-    alone when a shift is given.
+    of (1,)*16 overflow. A_{i, beta_i - r} is the sign and z-power above
+    times S_r, over prod_m (1 - z^m)^(B_m + r), B_m the sum of beta_e at
+    distance m. Every k = 1..beta_i is emitted, zero coefficients included,
+    for every pole i, or for the poles i < shift alone when a shift is given.
     """
     if not exponents:
         raise ValueError("empty exponent map")

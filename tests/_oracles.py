@@ -122,6 +122,24 @@ def ref_partial_fractions(exponents):
     return terms
 
 
+def ref_majorants(beta, count, top):
+    """T_0..T_top and u_0..u_top of the l1 majorant recurrence of a packed pole, step by step.
+
+    With beta the summed multiplicity of the other exponents and count the
+    number of distances: T_0 = 1, T_r = ceil(beta sum_(j=1..r) 2^((count - 1) j)
+    T_(r-j) / r), and u_r is the largest of those sums for 1..r (u_0 = 0).
+    A pole of that top is packed at _width(u_top // 2); ``springer._pole_series``
+    takes u_top from the closed form instead.
+    """
+    scale = 1 << count - 1
+    t, u = [1], [0]
+    for r in range(1, top + 1):
+        total = beta * sum(scale**j * t[r - j] for j in range(1, r + 1))
+        t.append(-(-total // r))
+        u.append(max(u[-1], total))
+    return t, u
+
+
 def convolve(a, b, n):
     """Series product of two coefficient lists, truncated at z^n."""
     out = [Fraction(0)] * (n + 1)

@@ -263,7 +263,7 @@ class TestArgparseExitStatus:
 
 
 class TestParserReuse:
-    """main builds its parser once; a failed parse leaves nothing behind in it."""
+    """Requests in one process share no parser state: a failed parse leaves nothing behind."""
 
     SEQUENCES = [
         [("--d", "2", "--format", "series"), ("--d", "2", "--kind", "nope"), ("--d", "1,1")],
@@ -275,20 +275,12 @@ class TestParserReuse:
 
     @pytest.mark.parametrize("sequence", SEQUENCES)
     def test_failed_parse_between_good_requests(self, capsys, sequence):
-        cli.build_parser.cache_clear()
-        shared = [run(capsys, *argv) for argv in sequence]
-        fresh = []
-        for argv in sequence:
-            cli.build_parser.cache_clear()
-            fresh.append(run(capsys, *argv))
-        assert shared == fresh
-        assert [rc for rc, _, _ in shared] == [0, 1, 0]
-        assert shared[1][2].startswith("usage: poincare-series")
+        results = [run(capsys, *argv) for argv in sequence]
+        assert [rc for rc, _, _ in results] == [0, 1, 0]
+        assert results[1][2].startswith("usage: poincare-series")
+        assert [run(capsys, *sequence[0]), run(capsys, *sequence[2])] == [results[0], results[2]]
 
-    def test_parser_is_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
-
-    def test_common_requests_build_no_parser(self, capsys):
+    def test_common_requests_build_no_parser(self, capsys, monkeypatch):
         # every request form that perfbench's CLI workload sends parses without argparse
         requests = [
             ("--d", "1,2,3", "--kind", kind, "--format", fmt, "--method", method, *tail)
@@ -301,9 +293,41 @@ class TestParserReuse:
             for method in ("springer", "all")
         ]
         requests += [("golden-check",), ("crosscheck", "--max-n", "7", "--max-deg", "4", "--max-m", "10")]
-        cli.build_parser.cache_clear()
+
+        def forbidden():
+            raise AssertionError("argparse parser built for a common request")
+
+        monkeypatch.setattr(cli, "build_parser", forbidden)
         assert [run(capsys, *argv)[0] for argv in requests] == [0] * len(requests)
-        assert cli.build_parser.cache_info().misses == 0
+
+
+class TestRouteChecks:
+    """compute runs one route, and the route checks only for --method all."""
+
+    @pytest.mark.parametrize("fmt", cli.FORMAT_CHOICES)
+    @pytest.mark.parametrize("method", ["springer", "closedform"])
+    def test_one_route_runs_no_checks(self, capsys, monkeypatch, method, fmt):
+        def forbidden(*args):
+            raise AssertionError("route checks outside --method all")
+
+        monkeypatch.setattr(cli, "_route_checks", forbidden)
+        rc, out, err = run(capsys, "--d", "1,1", "--method", method, "--format", fmt)
+        assert (rc, err) == (0, "")
+        assert "check" not in out
+
+    @pytest.mark.parametrize("fmt", cli.FORMAT_CHOICES)
+    def test_method_all_checks_once(self, capsys, monkeypatch, fmt):
+        calls = []
+        checks = cli._route_checks
+
+        def counted(*args):
+            calls.append(args)
+            return checks(*args)
+
+        monkeypatch.setattr(cli, "_route_checks", counted)
+        rc, out, err = run(capsys, "--d", "1,1", "--method", "all", "--format", fmt)
+        assert (rc, err, len(calls)) == (0, "", 1)
+        assert "check" in out
 
 
 class TestGoldenCheckCommand:
@@ -498,7 +522,8 @@ def console_script(name):
 
     The installed script when it is on PATH. Otherwise its
     ``[project.scripts]`` target from pyproject.toml, called by this
-    interpreter with ``src`` on PYTHONPATH, as from a plain checkout.
+    interpreter with ``src`` on PYTHONPATH, as from a plain checkout, and
+    as the generated script calls it: its return value goes to sys.exit.
     """
     path = shutil.which(name)
     if path:
@@ -507,7 +532,7 @@ def console_script(name):
     scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
     target = re.search(rf'^{re.escape(name)}\s*=\s*"([\w.]+):(\w+)"', scripts, re.M)
     module, func = target.groups()
-    return [sys.executable, "-c", f"from {module} import {func}; {func}()"], checkout_env()
+    return [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"], checkout_env()
 
 
 class TestInstalledScript:
@@ -520,6 +545,11 @@ class TestInstalledScript:
         )
         assert proc.returncode == 0
         assert proc.stdout == b"1 / (1-z)^2 (1-z^2)\n"
+
+    @pytest.mark.parametrize("argv, code", [(["--d", "0"], 1), (["golden-check"], 0)])
+    def test_console_exit_codes(self, argv, code):
+        command, env = console_script("poincare-series")
+        assert subprocess.run(command + argv, capture_output=True, env=env).returncode == code
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from poincare_series.algebra import (
     FactoredRatFun,
     Poly,
     RatFun,
+    _width,
     one_minus_z,
     pochhammer,
 )
@@ -45,6 +46,7 @@ from _oracles import (
     random_pole,
     recombined_biseries,
     ref_below_shift,
+    ref_majorants,
     ref_partial_fractions,
     ref_phi,
     times_poly,
@@ -258,6 +260,86 @@ class TestPartialFractions:
         at_or_above = [(i, k, a) for i, k, a in pfd.terms if i >= pfd.d_star]
         assert at_or_above
         assert [(i, k) for i, k, a in at_or_above if a.num[0] != 0] == []
+
+
+def packed_poles(exponents):
+    """(i, below, above, top) of each pole that _pole_series packs: two or more distances, top >= 1."""
+    for i, beta_i in sorted(exponents.items()):
+        below = {i - e: beta for e, beta in exponents.items() if e < i}
+        above = {e - i: beta for e, beta in exponents.items() if e > i}
+        if beta_i > 1 and len({*below, *above}) > 1:
+            yield i, below, above, beta_i - 1
+
+
+def pole_width_margins(exponents):
+    """Spare bits of each packed pole's width over the largest coefficient of L and of every r S_r.
+
+    S_r is read off the list oracle ``ref_partial_fractions``, which divides
+    by long division and packs nothing; the width is the one that
+    ``_pole_series`` packs L at. Each coefficient must be at most half the
+    docstring's l1 bound top T_top, T_r = C(beta + r - 1, r) 2^((#m - 1) r),
+    and below 2^(8W - 1), where a packed digit would overflow.
+    """
+    oracle = {(i, k): a for i, k, a in ref_partial_fractions(exponents)}
+    margins = {}
+    for i, below, above, top in packed_poles(exponents):
+        dists = sorted({*below, *above})
+        widths = []
+        pack = springer._pack
+
+        def recorded(ints, width):
+            widths.append(width)
+            return pack(ints, width)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(springer, "_pack", recorded)
+            series = springer._pole_series(below, above, top)
+        beta = sum(below.values()) + sum(above.values())
+        bound = top * comb(beta + top - 1, top) << (len(dists) - 1) * top
+        assert widths == [_width(bound // 2)], (exponents, i)
+        lead, sign = sum(m * b for m, b in below.items()), (-1) ** sum(below.values())
+        coeffs = list(prod(map(one_minus_z, dists), start=ONE).ints)
+        for r in range(1, top + 1):
+            s_r = [sign * c for c in oracle[(i, top + 1 - r)].num.ints[lead:]]
+            assert s_r == series[r][: len(s_r)] and not any(series[r][len(s_r) :]), (exponents, i, r)
+            coeffs += [r * c for c in s_r]
+        largest = max(map(abs, coeffs))
+        assert largest <= bound // 2, (exponents, i, largest, bound)
+        assert largest < 1 << 8 * widths[0] - 1, (exponents, i, largest, widths)
+        margins[i] = 8 * widths[0] - 1 - largest.bit_length()
+    return margins
+
+
+# the six ladder anchors, then equal forms, deep cancellation and five distinct forms
+WIDTH_AUDIT_SYSTEMS = [
+    (1, 2, 3), (1, 2, 3, 4, 5), (3, 4, 5, 6), (8, 8), (12,), (10, 10),
+    (2,) * 14, (3,) * 8, (3, 3, 3, 3, 2, 2, 2, 2), (3, 4, 5, 6, 7),
+]
+
+
+class TestPoleSeriesWidth:
+    """The packed width of _pole_series, from the closed form of its l1 bound."""
+
+    @pytest.mark.parametrize("d", WIDTH_AUDIT_SYSTEMS)
+    def test_every_coefficient_fits_the_width(self, d):
+        margins = pole_width_margins(build_factored_gf(d))
+        # a single form has beta = 1 at every exponent, so no pole is packed
+        assert bool(margins) == (len(d) > 1)
+
+    @given(st.dictionaries(st.integers(0, 12), st.integers(1, 12), min_size=2, max_size=5))
+    @settings(deadline=None, max_examples=120)
+    def test_every_coefficient_fits_the_width_on_random_maps(self, beta):
+        pole_width_margins(beta)
+
+    @pytest.mark.parametrize("beta", range(1, 60))
+    def test_closed_form_matches_the_recurrence(self, beta):
+        # T_r = C(beta + r - 1, r) 2^((#m - 1) r) solves r T_r = beta sum_j 2^((#m - 1) j) T_(r-j)
+        # exactly, so the ceilings never round, and r T_r grows with r
+        for count in range(2, 12):
+            t, u = ref_majorants(beta, count, 39)
+            for top in range(1, 40):
+                closed = comb(beta + top - 1, top) << (count - 1) * top
+                assert (t[top], u[top]) == (closed, top * closed), (beta, count, top)
 
 
 class TestPhi:
