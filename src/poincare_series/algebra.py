@@ -284,8 +284,6 @@ class Poly:
         return Poly._from_ints([-c for c in self.ints], self.denom)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
         a, b, denom = self.ints, other.ints, self.denom
@@ -300,13 +298,8 @@ class Poly:
             out[i] += c
         return Poly._from_ints(out, denom)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else Poly([-_coeff(other)]))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + -other if isinstance(other, Poly) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -319,8 +312,6 @@ class Poly:
         if not self.ints or not other.ints:
             return ZERO
         return Poly._from_ints(_int_mul(self.ints, other.ints), self.denom * other.denom)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:

@@ -263,7 +263,7 @@ def _plain_args(argv: list):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=PROG, description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, specs) in COMMANDS.items():
         command_parser = sub.add_parser(command, help=help_text)
         for name, spec in specs.items():
@@ -277,16 +277,11 @@ def main(argv=None) -> int:
         argv = ["compute"] + argv
     args = _plain_args(argv)
     if args is None:
-        parser = build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             # argparse exits 0 after help and 2 on a usage error, which is 1 here
             return 1 if exc.code else 0
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            print(f"{PROG}: error: no request given", file=sys.stderr)
-            return 1
     try:
         if args.command == "compute":
             return run_compute(args)

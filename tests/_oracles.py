@@ -141,8 +141,8 @@ def ref_majorants(beta, count, top):
 
 
 def convolve(a, b, n):
-    """Series product of two coefficient lists, truncated at z^n."""
-    out = [Fraction(0)] * (n + 1)
+    """Series product of two coefficient lists, truncated at z^n; int lists give ints."""
+    out = [0] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
         if not x:
             continue

@@ -78,6 +78,30 @@ class TestPoly:
         assert Poly([1, 0, -2, 1]).to_string() == "1 - 2z^2 + z^3"
         assert ZERO.to_string() == "0"
 
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda p: p + 1,
+            lambda p: 1 + p,
+            lambda p: p - 1,
+            lambda p: 1 - p,
+            lambda p: 2 * p,
+            lambda p: Fraction(1, 2) * p,
+        ],
+        ids=["p + 1", "1 + p", "p - 1", "1 - p", "2 * p", "Fraction * p"],
+    )
+    def test_number_operands_rejected(self, form):
+        # + and - take Polys only, and a number multiplies only on the right
+        with pytest.raises(TypeError):
+            form(Poly([1, 2]))
+
+    def test_poly_operands_and_right_scalars(self):
+        p, q = Poly([1, 2]), Poly([Fraction(1, 3), 0, -1])
+        assert p * 2 == Poly([2, 4])
+        assert p * Fraction(1, 2) == Poly([Fraction(1, 2), 1])
+        assert p + q == Poly([Fraction(4, 3), 2, -1])
+        assert p - q == Poly([Fraction(2, 3), 2, 1])
+
     @given(small_polys, small_polys, small_polys)
     @settings(deadline=None, max_examples=60)
     def test_ring_axioms(self, p, q, r):

@@ -259,7 +259,8 @@ class TestArgparseExitStatus:
         rc, out, err = run(capsys)
         assert (rc, out) == (1, "")
         assert err.startswith("usage: poincare-series")
-        assert err.endswith("poincare-series: error: no request given\n")
+        # argparse writes both lines: the subcommand is a required argument
+        assert err.endswith("poincare-series: error: the following arguments are required: command\n")
 
 
 class TestParserReuse:

@@ -213,6 +213,34 @@ def assert_dimensions_match(degs, horizon):
     return span, table
 
 
+def packed_rows_margin(degs, horizon):
+    """Spare bits of ``_packed_rows``' digit width over its largest count, each count checked.
+
+    Digit e of row k must be the list DP's count of weight k d* - e, no
+    digit may lie past 2 k d*, and every count must be at most the
+    docstring's C(horizon + N - 1, N - 1) and below 2^bits.
+    """
+    d = as_degree_vector(degs)
+    s, bits, rows = counting._packed_rows(d, horizon)
+    span, table = ref_omega_table(degs, horizon)
+    bound = comb(horizon + d.variable_count - 1, horizon)
+    largest = 0
+    for k, row in enumerate(rows):
+        size = 2 * k * s + 1
+        digits = [row >> bits * e & (1 << bits) - 1 for e in range(size)]
+        assert row >> bits * size == 0, (degs, k)
+        assert digits == table[k][span - k * s : span + k * s + 1][::-1], (degs, k)
+        assert sum(digits) == comb(k + d.variable_count - 1, k), (degs, k)
+        largest = max(largest, *digits)
+    assert largest <= bound < 1 << bits, (degs, horizon, largest, bits)
+    return bits - largest.bit_length()
+
+
+# the counting requests of a CLI session, then the six ladder anchors
+CLI_COUNTING_SYSTEMS = [(1, 2, 4), (3, 4), (2, 5), (1, 1, 4), (2, 2, 3), (1, 6)]
+LADDER_ANCHORS = [(1, 2, 3), (1, 2, 3, 4, 5), (3, 4, 5, 6), (8, 8), (12,), (10, 10)]
+
+
 class TestPackedRowsMatchListTable:
     """The packed-row kernel against the list dynamic program of the tests' oracles."""
 
@@ -230,7 +258,12 @@ class TestPackedRowsMatchListTable:
         assert [gamma(degs, horizon, k) for k in range(span + 4)] == gammas, (degs, horizon)
         entries = multiplicity_table(degs, horizon).entries
         assert entries == tuple(enumerate(gammas[: span + 1]))
+        packed_rows_margin(degs, horizon)
 
     @pytest.mark.parametrize("degs, horizon", [((1,) * 12, 40), ((30,), 100)])
     def test_long_horizons(self, degs, horizon):
         assert_dimensions_match(degs, horizon)
+
+    @pytest.mark.parametrize("degs", CLI_COUNTING_SYSTEMS + LADDER_ANCHORS)
+    def test_every_count_fits_the_width(self, degs):
+        packed_rows_margin(degs, 36)

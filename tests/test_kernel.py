@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poincare_series import algebra, cli
 from poincare_series.algebra import (
     FactoredRatFun,
     Poly,
     _binomial_passes,
-    _kronecker_mul,
     _pack,
     _unpack,
     _width,
@@ -294,6 +294,41 @@ int_coefficients = st.one_of(
 int_lists = st.lists(int_coefficients, min_size=1, max_size=24).filter(any)
 
 
+def recorded_products(call):
+    """call()'s value and the (a, b, product, width) of each ``_kronecker_mul`` call it makes."""
+    products, widths = [], []
+    kronecker, unpack = algebra._kronecker_mul, algebra._unpack
+
+    def unpacked(value, size, width):
+        widths.append(width)
+        return unpack(value, size, width)
+
+    def recorded(a, b):
+        product = kronecker(a, b)
+        products.append((list(a), list(b), product, widths.pop()))
+        return product
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_unpack", unpacked)
+        mp.setattr(algebra, "_kronecker_mul", recorded)
+        value = call()
+    return value, products
+
+
+def kronecker_width_margin(a, b, product, width):
+    """Spare bits of a Kronecker product's digit width over its largest coefficient.
+
+    The product must equal the oracles' convolution, and every coefficient
+    must be at most the docstring's max|a| max|b| min(len) and below
+    2^(8 width - 1).
+    """
+    assert product == convolve(a, b, len(a) + len(b) - 2), (a, b)
+    largest = max(map(abs, product))
+    assert largest <= max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)), (a, b)
+    assert largest < 1 << 8 * width - 1, (a, b, width)
+    return 8 * width - 1 - largest.bit_length()
+
+
 class TestPackedDigits:
     """_pack and _unpack, the one Kronecker digit code of the kernel and the PFD."""
 
@@ -332,5 +367,14 @@ class TestPackedDigits:
     @given(int_lists, int_lists)
     @SETTINGS
     def test_kronecker_matches_convolution(self, a, b):
-        assert _kronecker_mul(a, b) == convolve(a, b, len(a) + len(b) - 2)
-        assert _kronecker_mul(a, a) == convolve(a, a, 2 * len(a) - 2)
+        # (a, a) packs once; each product is checked against the width it was read at
+        for x, y in ((a, b), (a, a)):
+            product, ((*_, width),) = recorded_products(lambda: algebra._kronecker_mul(x, y))
+            kronecker_width_margin(x, y, product, width)
+
+    def test_golden_check_products_fit_their_width(self, capsys):
+        # record times f.den is the only full product per record
+        rc, products = recorded_products(lambda: cli.main(["golden-check"]))
+        assert rc == 0 and products
+        for product in products:
+            kronecker_width_margin(*product)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from itertools import zip_longest
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from poincare_series.springer import (
 )
 
 from _oracles import (
+    convolve,
     factored_series,
     generating_function_biseries,
     multisection,
@@ -539,6 +541,137 @@ class TestMultisectSum:
         for parts in sums:
             _multisect_sum(parts)
         assert calls == {"passes": 0, "unpack": len(sums)}
+
+
+def recorded_sums(call):
+    """(parts, [(w, W) per nonzero part], result) of each ``_multisect_sum`` call that call() makes."""
+    sums, multisect_sum, packed_multisect = [], springer._multisect_sum, springer._packed_multisect
+
+    def recorded(parts):
+        widths = []
+
+        def packed(ints, factors, n, width, out):
+            widths.append((width, out))
+            return packed_multisect(ints, factors, n, width, out)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(springer, "_packed_multisect", packed)
+            result = multisect_sum(parts)
+        sums.append((list(parts), widths, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(springer, "_multisect_sum", recorded)
+        call()
+    return sums
+
+
+def prime_factors(n):
+    """The primes of n with multiplicity, ascending: the order in which ``_packed_multisect`` takes them."""
+    p = 2
+    while n > 1:
+        while n % p:
+            p += 1
+        n //= p
+        yield p
+
+
+def multisect_width_margins(parts, widths, result):
+    """Spare bits of the block width w and the common width W of one ``_multisect_sum`` call.
+
+    Every part is recomputed on int lists by the oracles' convolution: at
+    each prime p of n, the block of p terms at z^a for each factor that p
+    does not divide, then every p-th digit (``multisection``); then one
+    (1 - z^b) per lift unit and the scale to the common denominator, and
+    the running sum. Each block-stage digit, N's own included, must be at
+    most the docstring's max|N| prod k^e and below 2^(8w - 1); each lift
+    stage, scaled part and partial sum at most the sum bound and below
+    2^(8W - 1). Returns (block margin, sum margin), the smallest spare bits.
+    """
+    cover = dict(result.factors)
+    common = lcm(*[denom for _, denom, _, _ in parts])
+    live = []
+    for ints, denom, factors, n in parts:
+        if any(ints):
+            own = {}
+            for a, e in factors:
+                own[a // gcd(a, n)] = own.get(a // gcd(a, n), 0) + e
+            bound = max(map(abs, ints)) * prod((n // gcd(a, n)) ** e for a, e in factors)
+            lift = [b for b, e in sorted(cover.items()) for _ in range(e - own.get(b, 0))]
+            live.append((ints, common // denom, factors, n, bound, lift))
+    sum_bound = sum(scale * bound << len(lift) for _, scale, _, _, bound, lift in live)
+    assert [out for _, out in widths] == [_width(sum_bound)] * len(live), parts
+    block_margin = sum_margin = 8 * _width(sum_bound) - 1
+    total = []
+    for (ints, scale, factors, n, bound, lift), (width, out) in zip(live, widths):
+        assert width == _width(bound), (parts, n)
+        digits = list(ints)
+        stages = [digits]
+        for p in prime_factors(n):
+            rest = []
+            for a, e in factors:
+                if a % p:
+                    block = [int(j % a == 0) for j in range(a * (p - 1) + 1)]
+                    for _ in range(e):
+                        digits = convolve(digits, block, len(digits) + len(block) - 2)
+                        stages.append(digits)
+                else:
+                    a //= p
+                rest.append((a, e))
+            factors, digits = rest, multisection(digits, p)
+        largest = max(max(map(abs, stage)) for stage in stages)
+        assert largest <= bound and largest < 1 << 8 * width - 1, (parts, n, largest, width)
+        block_margin = min(block_margin, 8 * width - 1 - largest.bit_length())
+        stages = [digits]
+        for b in lift:
+            digits = convolve(digits, [1] + [0] * (b - 1) + [-1], len(digits) + b - 1)
+            stages.append(digits)
+        digits = [scale * c for c in digits]
+        total = [x + y for x, y in zip_longest(total, digits, fillvalue=0)]
+        largest = max(max(map(abs, stage)) for stage in [*stages, digits, total])
+        assert largest <= sum_bound and largest < 1 << 8 * out - 1, (parts, n, largest, out)
+        sum_margin = min(sum_margin, 8 * out - 1 - largest.bit_length())
+    assert Poly._from_ints(total, common) == result.num, parts
+    return block_margin, sum_margin
+
+
+# the six ladder anchors, a deep cancellation and equal forms, then single forms and (4,5,6,7)
+MULTISECT_AUDIT_SYSTEMS = WIDTH_AUDIT_SYSTEMS[:6] + [
+    (3, 3, 3, 3, 2, 2, 2, 2), (2,) * 12, (2,) * 14, (3,) * 5, (20,), (30,), (4, 5, 6, 7),
+]
+
+multisect_parts = st.lists(
+    st.tuples(
+        st.lists(st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)), max_size=8),
+        st.sampled_from([1, 2, 3, 5, 12]),
+        st.lists(st.tuples(st.integers(1, 8), st.integers(1, 3)), max_size=4),
+        st.integers(1, 12),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestMultisectWidths:
+    """The block width w of ``_packed_multisect`` and the common width W of ``_multisect_sum``."""
+
+    @pytest.mark.parametrize("kind", ["invariants", "semiinvariants"])
+    @pytest.mark.parametrize("d", MULTISECT_AUDIT_SYSTEMS)
+    def test_operator_route(self, d, kind):
+        # past the series cache, so that the route runs its one sum
+        (call,) = recorded_sums(lambda: _poincare_cached.__wrapped__(d, kind))
+        multisect_width_margins(*call)
+
+    @pytest.mark.parametrize("kind", ["invariants", "semiinvariants"])
+    def test_single_form_route(self, kind):
+        (call,) = recorded_sums(lambda: single_form_series(24, kind))
+        multisect_width_margins(*call)
+
+    @given(multisect_parts)
+    @settings(deadline=None, max_examples=150)
+    def test_random_parts(self, parts):
+        (call,) = recorded_sums(lambda: springer._multisect_sum(parts))
+        multisect_width_margins(*call)
 
 
 class TestPsiTerm:
