@@ -98,7 +98,7 @@ def _add_scaled(out: list, shift: int, c: int, ints) -> None:
 
 
 def _int_mul(a, b) -> list:
-    """Product of two int sequences with a nonzero term each: shifted adds or Kronecker."""
+    """Product of two int sequences, either possibly empty: shifted adds or Kronecker."""
     if len(b) - b.count(0) > 2:
         a, b = b, a
     if len(b) - b.count(0) > 2:
@@ -309,8 +309,6 @@ class Poly:
             )
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.ints or not other.ints:
-            return ZERO
         return Poly._from_ints(_int_mul(self.ints, other.ints), self.denom * other.denom)
 
     def __pow__(self, n: int):

@@ -127,7 +127,7 @@ def format_factored(f: RatFun) -> str:
     return f"{num_text} / {' '.join(den_parts)}"
 
 
-def _emit_result(d: DegreeVector, args, f: RatFun, horizon: int, checks=None) -> str:
+def _emit_result(d: DegreeVector, args, f: RatFun, horizon: int, checks: dict) -> str:
     if args.format == "series":
         body = _ints_text(_series_ints(*_integer_parts(f), horizon))
     elif args.format == "reduced":
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     except (UsageError, CorpusError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError:
+    except (MemoryError, OverflowError):
         print(f"{PROG}: error: out of memory", file=sys.stderr)
         return 1
 

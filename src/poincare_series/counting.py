@@ -83,18 +83,17 @@ def as_degree_vector(d) -> DegreeVector:
 
 
 def degree_multisets(max_total: int, max_deg: int):
-    """All descending degree tuples with sum of (d_k + 1) bounded by max_total."""
-    out = []
+    """All descending degree tuples with sum of (d_k + 1) bounded by max_total.
 
-    def rec(prefix, budget, ceiling):
-        for d in range(min(ceiling, max_deg), 0, -1):
-            if d + 1 <= budget:
-                cur = prefix + (d,)
-                out.append(cur)
-                rec(cur, budget - d - 1, d)
-
-    rec((), max_total, max_deg)
-    return sorted(out, key=lambda t: (len(t), t))
+    Level n extends each tuple of level n - 1 by every degree up to its last that
+    fits the budget. Degrees ascend, so the list is sorted by (length, tuple).
+    """
+    out, level = [], [()]
+    while level:
+        level = [t + (d,) for t in level
+                 for d in range(1, 1 + min(t[-1] if t else max_deg, max_total - sum(t) - len(t) - 1))]
+        out += level
+    return out
 
 
 def build_factored_gf(d) -> dict:

@@ -390,3 +390,18 @@ def ref_greedy_factor(den: list):
             factors[a] = factors.get(a, 0) + 1
             rem = q
     return factors, rem
+
+
+def ref_degree_multisets(max_total: int, max_deg: int):
+    """counting.degree_multisets by recursion on the budget, sorted at the end."""
+    out = []
+
+    def rec(prefix, budget, ceiling):
+        for d in range(min(ceiling, max_deg), 0, -1):
+            if d + 1 <= budget:
+                cur = prefix + (d,)
+                out.append(cur)
+                rec(cur, budget - d - 1, d)
+
+    rec((), max_total, max_deg)
+    return sorted(out, key=lambda t: (len(t), t))

@@ -61,6 +61,19 @@ class TestPoly:
     def test_product(self):
         assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])
 
+    @pytest.mark.parametrize(
+        "p",
+        [Poly([3]), Poly([1, 0, -2]), Poly([1, 2, 0, 3, 4, 5]), Poly([Fraction(1, 3), 0, -1])],
+        ids=["one term", "two terms", "five terms", "Fraction"],
+    )
+    def test_zero_products(self, p):
+        # _int_mul adds shifted copies of one operand per term of the other: with
+        # more than two nonzero terms p is the copied one, else the empty operand
+        # is; both give the canonical zero, over 1 even when p is not
+        for product in (ZERO * p, p * ZERO, ZERO * ZERO):
+            assert product == ZERO
+            assert product.denom == 1
+
     def test_divmod_exact(self):
         q = Poly([1, 1, 1]).divexact(Poly([1, 1, 1]))
         assert q == ONE

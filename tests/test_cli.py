@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from math import prod
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from poincare_series.cli import format_factored, format_reduced, greedy_factor, 
 from poincare_series.counting import DegreeVector, degree_multisets
 from poincare_series.springer import _poincare_cached, poincare_series
 
-from _oracles import ref_greedy_factor
+from _oracles import ref_degree_multisets, ref_greedy_factor
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -226,13 +227,21 @@ class TestUsageErrors:
         ],
     )
     def test_out_of_memory_is_one_message(self, capsys, monkeypatch, target, argv):
-        # stands in for a request too large to hold, such as counting (1,2) to 3,000,000
-        def exhausted(*args):
-            raise MemoryError
+        # stands in for a request too large to hold, such as counting (1,2) to
+        # 3,000,000, or a list longer than an index can address
+        for error in (MemoryError, OverflowError):
 
-        monkeypatch.setattr(cli, target, exhausted)
-        rc, out, err = run(capsys, *argv)
-        assert (rc, out, err) == (1, "", "poincare-series: error: out of memory\n")
+            def exhausted(*args):
+                raise error
+
+            monkeypatch.setattr(cli, target, exhausted)
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out, err) == (1, "", "poincare-series: error: out of memory\n"), error
+
+    def test_oversized_counting_horizon_is_one_message(self, capsys):
+        # a list of 10^20 + 1 rows is refused before anything is allocated
+        argv = ("--d", "1", "--method", "counting", "--format", "series", "--truncate", str(10**20))
+        assert run(capsys, *argv) == (1, "", "poincare-series: error: out of memory\n")
 
 
 class TestArgparseExitStatus:
@@ -388,6 +397,10 @@ class TestCrosscheckCommand:
         assert len(sweep) == 17
         assert (2, 2, 1) in sweep
         assert (3, 2, 1) not in sweep  # needs nine variables, over the budget of eight
+        for n, deg in [*product(range(-1, 19), range(-1, 10)), (26, 2), (50, 1), (30, 30)]:
+            assert degree_multisets(n, deg) == ref_degree_multisets(n, deg), (n, deg)
+        # one level per form: 2000 linear forms, far past the recursion limit
+        assert len(degree_multisets(4000, 1)) == 2000
 
 
 class TestBrokenRoute:
@@ -506,7 +519,7 @@ class TestFormattingHelpers:
         # a fault, not a case to display
         args = argparse.Namespace(kind="invariants", method="springer", format="json", truncate=None)
         for f in (RatFun(Poly([Fraction(1, 2)]), one_minus_z(1)), RatFun(ONE, Poly([2, 1]))):
-            for show in (format_reduced, format_factored, lambda f: cli._emit_result(DegreeVector((1,)), args, f, 10)):
+            for show in (format_reduced, format_factored, lambda f: cli._emit_result(DegreeVector((1,)), args, f, 10, {})):
                 with pytest.raises(ArithmeticError):
                     show(f)
 

@@ -19,6 +19,30 @@ def test_no_bare_assert():
     assert found == []
 
 
+def _callee(call):
+    """The name that f(...), self.f(...) or cls.f(...) calls; None for any other call."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls"):
+        return f.attr
+    return None
+
+
+def test_no_function_calls_itself():
+    # the recursion limit turns deep input into a RecursionError traceback, so
+    # no function in the package calls its own name
+    found = [
+        f"{path.name}:{call.lineno} {func.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(func)
+        if isinstance(call, ast.Call) and _callee(call) == func.name
+    ]
+    assert found == []
+
+
 def test_private_names_imported_from_algebra_only():
     # the integer kernels live in algebra; no other module's underscore name
     # is imported elsewhere, so each one has a single home
