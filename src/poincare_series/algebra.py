@@ -153,11 +153,12 @@ def _series_ints(num, den, n: int) -> list:
 
     With D_0 = 1 no step divides.
     """
-    # D_j for j = k..1 pairs with w_(m-k..m-1); k zeros stand for w_(<0)
+    # D_j for j = k..1 pairs with w_(m-k..m-1); k zeros stand for w_(<0). w is
+    # allocated once, so a length too large to allocate fails before any step
     k = len(den) - 1
-    weights, w = den[:0:-1], [0] * k
+    weights, w = den[:0:-1], [0] * (k + n + 1)
     for m in range(n + 1):
-        w.append((num[m] if m < len(num) else 0) - sum(map(mul, weights, w[m:])))
+        w[k + m] = (num[m] if m < len(num) else 0) - sum(map(mul, weights, w[m : k + m]))
     return w[k:]
 
 

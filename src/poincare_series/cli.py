@@ -20,7 +20,7 @@ from .algebra import Poly, RatFun, _binomial_passes, _factor_text, _series_ints
 from .closedform import applicable as closedform_applicable
 from .closedform import for_degree_vector as closedform_series
 from .counting import KIND_CHOICES, KINDS, DegreeVector, canonical_kind, degree_multisets, dimensions
-from .golden import CorpusError, check_corpus, shipped_corpus_path
+from .golden import CorpusError, check_record, parse_corpus, shipped_corpus_path
 from .springer import poincare_series, single_form_series
 
 PROG = "poincare-series"
@@ -193,6 +193,20 @@ def run_compute(args) -> int:
     return 0
 
 
+def _report(command: str, noun: str, outcomes) -> int:
+    """Print PASS or FAIL and the text of each (ok, text) case as it arrives, then a summary.
+
+    Returns 2 if any case failed, else 0.
+    """
+    cases = failures = 0
+    for ok, text in outcomes:
+        cases += 1
+        failures += not ok
+        print(f"{'PASS' if ok else 'FAIL'}  {text}")
+    print(f"{command}: {cases} {noun}, {failures} failures")
+    return 2 if failures else 0
+
+
 def run_golden_check(path: str | None) -> int:
     corpus_path = path if path is not None else shipped_corpus_path()
     try:
@@ -200,8 +214,7 @@ def run_golden_check(path: str | None) -> int:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read corpus: {exc}") from None
-    failures = check_corpus(text)
-    return 2 if failures else 0
+    return _report("golden-check", "records", ((check_record(r), r.label()) for r in parse_corpus(text)))
 
 
 def run_crosscheck(max_n: int, max_deg: int, max_m: int) -> int:
@@ -214,21 +227,19 @@ def run_crosscheck(max_n: int, max_deg: int, max_m: int) -> int:
     systems = degree_multisets(max_n, max_deg)
     if not systems:
         raise UsageError(f"no degree system has sum(d_k + 1) <= {max_n} and d_k <= {max_deg}")
-    failures = 0
-    for degs in systems:
+
+    def outcome(degs):
         d = DegreeVector(degs)
-        problems = []
-        for kind in KINDS:
-            checks = _route_checks(d, kind, poincare_series(d, kind), max_m)
-            problems += [f"{name} kind={kind}" for name, ok in checks.items() if not ok]
-        label = ",".join(map(str, degs))
-        if problems:
-            failures += 1
-            print(f"FAIL  d={label}  ({'; '.join(problems)})")
-        else:
-            print(f"PASS  d={label}")
-    print(f"crosscheck: {len(systems)} systems, {failures} failures")
-    return 2 if failures else 0
+        problems = [
+            f"{name} kind={kind}"
+            for kind in KINDS
+            for name, ok in _route_checks(d, kind, poincare_series(d, kind), max_m).items()
+            if not ok
+        ]
+        label = "d=" + ",".join(map(str, degs))
+        return not problems, f"{label}  ({'; '.join(problems)})" if problems else label
+
+    return _report("crosscheck", "systems", map(outcome, systems))
 
 
 def _plain_args(argv: list):

@@ -11,7 +11,7 @@ from contextlib import contextmanager, redirect_stdout
 from math import comb
 
 from poincare_series.algebra import ONE, Poly, RatFun, one_minus_z
-from poincare_series.cli import ROUTES
+from poincare_series.cli import ROUTES, main
 from poincare_series.counting import degree_multisets
 from poincare_series.counting import (
     DegreeVector,
@@ -21,7 +21,6 @@ from poincare_series.counting import (
     multiplicity_table,
     omega,
 )
-from poincare_series.golden import check_corpus, shipped_corpus_path
 from poincare_series.springer import (
     _poincare_cached,
     _poles,
@@ -67,13 +66,11 @@ def test_criterion_1_golden_tables():
     with criterion(1, "golden tables"):
         _poincare_cached.cache_clear()
         _poles.cache_clear()
-        with open(shipped_corpus_path(), encoding="utf-8") as handle:
-            text = handle.read()
         start = time.perf_counter()
         with redirect_stdout(io.StringIO()):
-            failures = check_corpus(text)
+            rc = main(["golden-check"])
         elapsed = time.perf_counter() - start
-        assert failures == 0
+        assert rc == 0
         assert elapsed < 10.0, f"golden corpus took {elapsed:.2f}s"
 
 

@@ -238,9 +238,19 @@ class TestUsageErrors:
             rc, out, err = run(capsys, *argv)
             assert (rc, out, err) == (1, "", "poincare-series: error: out of memory\n"), error
 
-    def test_oversized_counting_horizon_is_one_message(self, capsys):
-        # a list of 10^20 + 1 rows is refused before anything is allocated
-        argv = ("--d", "1", "--method", "counting", "--format", "series", "--truncate", str(10**20))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--d", "1", "--method", "counting", "--format", "series", "--truncate", str(10**20)),
+            ("--d", "1", "--format", "series", "--truncate", str(10**20)),
+            ("--d", "1", "--format", "json", "--truncate", str(10**20)),
+            ("--d", "1", "--method", "all", "--truncate", str(10**20)),
+            ("crosscheck", "--max-n", "3", "--max-m", str(10**20)),
+        ],
+    )
+    def test_oversized_counting_horizon_is_one_message(self, capsys, argv):
+        # a list of 10^20 + 1 rows or terms is refused at its one allocation,
+        # before any term is computed
         assert run(capsys, *argv) == (1, "", "poincare-series: error: out of memory\n")
 
 
@@ -370,8 +380,7 @@ class TestGoldenCheckCommand:
         p.write_text("d=2; kind=invariants; num=2; den=(2,1); sign_insensitive=false\n")
         rc, out, _ = run(capsys, "golden-check", str(p))
         assert rc == 2
-        assert "FAIL" in out
-        assert out.splitlines()[-1] == "golden-check: 1 records, 1 failures"
+        assert out.splitlines() == ["FAIL  d=2 kind=invariants", "golden-check: 1 records, 1 failures"]
 
     def test_malformed_record_reports_line(self, tmp_path, capsys):
         p = tmp_path / "broken.txt"
@@ -401,6 +410,40 @@ class TestCrosscheckCommand:
             assert degree_multisets(n, deg) == ref_degree_multisets(n, deg), (n, deg)
         # one level per form: 2000 linear forms, far past the recursion limit
         assert len(degree_multisets(4000, 1)) == 2000
+
+
+class TestSweepsStream:
+    """golden-check and crosscheck write each case's line before the next case runs."""
+
+    def test_crosscheck_line_precedes_next_system(self, capsys, monkeypatch):
+        real = cli.poincare_series
+
+        def fails_after_first_system(d, kind):
+            if d.degrees != (1,):
+                raise RuntimeError("second system")
+            return real(d, kind)
+
+        monkeypatch.setattr(cli, "poincare_series", fails_after_first_system)
+        with pytest.raises(RuntimeError, match="second system"):
+            main(["crosscheck", "--max-n", "4"])
+        assert capsys.readouterr().out == "PASS  d=1\n"
+
+    def test_golden_line_precedes_next_record(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "two.txt"
+        records = ["d=2; kind=invariants; num=1; den=(2,1)", "d=1,1; kind=semiinvariants; num=1; den=(1,2)(2,1)"]
+        p.write_text("\n".join(records) + "\n")
+        real, seen = cli.check_record, []
+
+        def fails_on_second_record(record):
+            seen.append(record)
+            if len(seen) == 2:
+                raise RuntimeError("second record")
+            return real(record)
+
+        monkeypatch.setattr(cli, "check_record", fails_on_second_record)
+        with pytest.raises(RuntimeError, match="second record"):
+            main(["golden-check", str(p)])
+        assert capsys.readouterr().out == "PASS  d=2 kind=invariants\n"
 
 
 class TestBrokenRoute:

@@ -1,9 +1,9 @@
 import pytest
 
 from poincare_series import golden
+from poincare_series.cli import main
 from poincare_series.golden import (
     CorpusError,
-    check_corpus,
     check_record,
     parse_corpus,
     parse_record,
@@ -116,15 +116,11 @@ class TestChecking:
         assert check_record(parse_record(GOOD.replace("num=1;", "num=1,0,0;"), 1))
 
     def test_shipped_corpus_all_pass(self, capsys):
-        with open(shipped_corpus_path(), encoding="utf-8") as handle:
-            text = handle.read()
-        failures = check_corpus(text)
+        assert main(["golden-check", shipped_corpus_path()]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert failures == 0
         assert lines[-1] == "golden-check: 12 records, 0 failures"
         assert all(line.startswith("PASS") for line in lines[:-1])
 
-    def test_empty_corpus_rejected(self, capsys):
+    def test_empty_corpus_rejected(self):
         with pytest.raises(CorpusError, match="no records"):
-            check_corpus("# only comments\n")
-        assert capsys.readouterr().out == ""
+            parse_corpus("# only comments\n")

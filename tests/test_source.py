@@ -148,3 +148,15 @@ def test_series_and_factor_text_defined_in_algebra_only():
         if isinstance(node, ast.FunctionDef) and node.name in ("_series_ints", "_factor_text")
     }
     assert defined == {("_series_ints", "algebra.py"), ("_factor_text", "algebra.py")}
+
+
+def test_only_cli_prints():
+    # cli is the one module that writes output; every other module returns what it finds
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+    ]
+    assert found == []
