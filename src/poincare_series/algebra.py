@@ -11,18 +11,15 @@ big-integer multiply do the convolution. A quotient by 1 - z^a is the
 stride-a prefix sum of the numerators (``_binomial_passes``). Chains of
 derivatives over one cover of (1 - z^a) factors run on the numerator
 lists as well (``_cover_horner``): the pole sums of ``springer``, the
-closed forms of ``closedform`` and ``FactoredRatFun.derivative``. On top
-of that sit reduced rational functions, plus a factored representation
-that keeps the denominator as a multiset of (1 - z^a) factors so that
-multisection and cancellation can work factor by factor without ever
-expanding a large product.
+closed forms of ``closedform`` and ``FactoredRatFun.derivative``.
 
-Results are reduced in the cyclotomic basis: prod (1 - z^a)^e is
-prod_n Psi_n^(c_n) with c_n = sum of e over the a divisible by n, where
-Psi_n = prod over d | n of (1 - z^d)^mu(n/d) is Phi_n up to sign. The Phi_n
-are irreducible and pairwise coprime, so ``to_ratfun`` cancels each by
-exact binomial passes and computes no gcd; the reduced denominator is
-the kept cover prod (1 - z^a)^e divided by the Psi_n that cancelled.
+Every route ends in ``_reduce``, which takes an int list over an integer
+and a cover prod (1 - z^a)^e to a reduced ``RatFun`` in the cyclotomic
+basis: the cover is prod_n Psi_n^(c_n) with c_n = sum of e over the a
+divisible by n, where Psi_n = prod over d | n of (1 - z^d)^mu(n/d) is Phi_n
+up to sign. The Phi_n are irreducible and pairwise coprime, so each is
+cancelled by exact binomial passes and no gcd is computed. No route builds
+a ``FactoredRatFun``, the type of ``springer.partial_fractions``' terms.
 Long division and ``poly_gcd`` (Euclid over Q, inside the ``RatFun``
 constructor) remain the general route and the tests' reference.
 """
@@ -461,7 +458,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic GCD by Euclid's algorithm; remainders are made monic each step.
 
     The general route, used by the ``RatFun`` constructor and as the
-    tests' reference; ``FactoredRatFun.to_ratfun`` reduces without it.
+    tests' reference; ``_reduce`` reduces without it.
     """
     while not q.is_zero():
         p, q = q, (p % q).monic()
@@ -479,8 +476,8 @@ class RatFun:
     The result value every route returns. The constructor always
     canonicalizes by Euclid's gcd (``poly_gcd``), so structural equality of
     two RatFun instances is value equality. The routes' results come from
-    ``FactoredRatFun.to_ratfun``, which reaches the same canonical form by
-    exact cyclotomic division and hands it to ``_from_reduced``.
+    ``_reduce``, which reaches the same canonical form by exact cyclotomic
+    division and hands it to ``_from_reduced``.
     """
 
     __slots__ = ("num", "den")
@@ -539,6 +536,49 @@ class RatFun:
         return [Fraction(self.den.denom * x, self.num.denom * p) for x, p in zip(w, powers[1:])]
 
 
+def _cancel_binomials(ints, factors: dict) -> tuple:
+    """(quotient, {a: e} left): ints with every (1 - z^a) of factors that divides it exactly cancelled."""
+    num, remaining = ints, {}
+    for a, e in sorted(factors.items(), reverse=True):
+        while e and (q := _binomial_passes(num, (), (a,))) is not None:
+            num, e = q, e - 1
+        if e:
+            remaining[a] = e
+    return num, remaining
+
+
+def _reduce(ints: list, denom: int, factors: dict) -> RatFun:
+    """The reduced RatFun of ints / (denom prod over factors {a: e} of (1 - z^a)^e).
+
+    Whole (1 - z^a) factors are cancelled first (``_cancel_binomials``),
+    then each Psi_n while the division is exact, at most c_n times: a product
+    by its mu = -1 binomials, then quotients by its mu = +1 ones
+    (``_moebius_binomials``), exact iff every pass is. The denominator is the
+    kept cover over the Psi_n that cancelled, in one call of binomial passes.
+    """
+    num, kept = _cancel_binomials(ints, factors)
+    times, over, counts = [], [], {}
+    for a, e in sorted(kept.items()):
+        times += [a] * e
+        for n in _divisors(a):
+            counts[n] = counts.get(n, 0) + e
+    for n, c in counts.items():
+        plus, minus = _moebius_binomials(n)
+        while c and (q := _binomial_passes(num, minus, plus)) is not None:
+            num, c = q, c - 1
+            times += minus
+            over += plus
+    den = _binomial_passes([1], times, over)
+    if den is None:
+        raise ArithmeticError("the cancelled Psi_n do not divide the denominator")
+    # the leftover prod Psi_n^(c_n) is monic up to sign
+    sign = den[-1]
+    return RatFun._from_reduced(
+        Poly._from_ints([sign * c for c in num], denom),
+        Poly._from_ints([sign * c for c in den]),
+    )
+
+
 class FactoredRatFun:
     """Rational function num / prod over (a, e) of (1 - z^a)^e.
 
@@ -589,48 +629,9 @@ class FactoredRatFun:
 
     def reduced(self) -> "FactoredRatFun":
         """Cancel every (1 - z^a) factor that divides the numerator exactly."""
-        num, remaining = self.num.ints, {}
-        for a, e in sorted(self.factors, reverse=True):
-            while e and (q := _binomial_passes(num, (), (a,))) is not None:
-                num, e = q, e - 1
-            if e:
-                remaining[a] = e
+        num, remaining = _cancel_binomials(self.num.ints, dict(self.factors))
         return FactoredRatFun(Poly._from_ints(list(num), self.num.denom), remaining)
 
     def to_ratfun(self) -> RatFun:
-        """The reduced RatFun of this value, by exact division by cyclotomic polynomials.
-
-        prod (1 - z^a)^e = prod_n Psi_n^(c_n), where c_n sums e over the a
-        that n divides and Psi_n = +-Phi_n (``_moebius_binomials``). The
-        Phi_n are irreducible over Q and pairwise coprime, so dividing num
-        by each Psi_n while the division is exact, at most c_n times, leaves
-        it coprime to the rest of the denominator; no gcd is computed. A
-        quotient by Psi_n multiplies by its binomials with mu = -1 and then
-        divides by those with mu = +1, and is exact iff every pass is. Whole
-        (1 - z^a) factors are cancelled first (``reduced``): one pass each.
-        The denominator is that kept cover over the Psi_n the numerator
-        lost, in one call of binomial passes: each cancelled Psi_n adds its
-        mu = -1 binomials to the products and its mu = +1 ones to the
-        quotients, so nothing that did not cancel is divided out.
-        """
-        slim = self.reduced()
-        counts: dict[int, int] = {}
-        for a, e in slim.factors:
-            for n in _divisors(a):
-                counts[n] = counts.get(n, 0) + e
-        num, times, over = slim.num.ints, [a for a, e in slim.factors for _ in range(e)], []
-        for n, c in counts.items():
-            plus, minus = _moebius_binomials(n)
-            while c and (q := _binomial_passes(num, minus, plus)) is not None:
-                num, c = q, c - 1
-                times += minus
-                over += plus
-        den = _binomial_passes([1], times, over)
-        if den is None:
-            raise ArithmeticError("the cancelled Psi_n do not divide the denominator")
-        # the leftover prod Psi_n^(c_n) is monic up to sign
-        sign = den[-1]
-        return RatFun._from_reduced(
-            Poly._from_ints([sign * c for c in num], slim.num.denom),
-            Poly._from_ints([sign * c for c in den]),
-        )
+        """The reduced RatFun of this value (``_reduce``)."""
+        return _reduce(list(self.num.ints), self.num.denom, dict(self.factors))

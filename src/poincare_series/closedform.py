@@ -14,15 +14,7 @@ from __future__ import annotations
 from math import comb, factorial
 from operator import add
 
-from .algebra import (
-    FactoredRatFun,
-    Poly,
-    RatFun,
-    _add_scaled,
-    _binomial_passes,
-    _cover_horner,
-    pochhammer,
-)
+from .algebra import RatFun, _add_scaled, _binomial_passes, _cover_horner, _reduce, pochhammer
 from .counting import as_degree_vector, canonical_kind
 
 
@@ -35,7 +27,7 @@ def _horner_sum(base: dict, terms) -> RatFun:
     steps = len(terms) - 1
     p = _cover_horner(base, terms)
     factors = {a: b + steps for a, b in base.items() if b + steps}
-    return FactoredRatFun(Poly._from_ints(p, factorial(steps)), factors).to_ratfun()
+    return _reduce(p, factorial(steps), factors)
 
 
 def all_ones(n: int, kind: str) -> RatFun:

@@ -26,27 +26,19 @@ on integer lists: every R_k there is N_k / (D_0 L^(beta_i - k)), with
 D_0 = prod (1 - z^a)^(B_a) and L the product of the distinct (1 - z^a), so
 each step (theta + c) acc / c stays on one cover that gains one L, and the
 1/c go into one integer denominator (``algebra._cover_horner``, which
-also runs the closed forms of ``closedform``). The prefactor, an int
-list, multiplies each numerator list once, and D_0 is read off R_beta.
+also runs the closed forms of ``closedform``). The prefactor is one
+shifted add per numerator list, and D_0 is the pole's base cover.
 
-Everything stays in the factored-denominator representation: the
-multisection of R(z)/prod(1 - z^a) multiplies the numerator by the
-geometric block of n/gcd(a, n) terms at z^a, which turns each factor into
-(1 - z^lcm(a, n)), a function of z^n; after the multisection it is
-(1 - z^(a/gcd(a, n))) with its multiplicity unchanged. The numerator is
-packed once at z = 2^W and phi_n runs as phi_p for one prime p of n after
-another: each block of p terms is a few shift-adds of that integer and
-each phi_p a strided copy of its digits' bytes. The last phi_p copies them
-into the wider digits of one width common to the sum, and each series
-stays that one integer while it is lifted to the common cover (a shift and
-a subtraction per unit (1 - z^b)) and added in; the sum is unpacked once
-(``_multisect_sum``, which also sums the terms of ``single_form_series``),
-so one Poly is built for the whole sum.
-
-The decomposition depends on the degree system alone, not on the kind,
-so each system is decomposed once (``_poles``, cached) and the invariant
-and semi-invariant series both read it; the kinds differ only in the
-prefactor that ``_pole_part`` multiplies in.
+From the decomposition to the reduced result the route runs on int lists.
+Each system is decomposed once (``_poles``, cached) into, per pole, the
+numerator lists of the A_{i,k} and the base cover; both kinds read them,
+and ``partial_fractions`` wraps the same lists for the public API. Each
+pole's sum is multisected on one packed integer and the sums are added on
+one cover (``_multisect_sum``): the multisection of R(z)/prod(1 - z^a)
+multiplies the numerator by the geometric block of n/gcd(a, n) terms at
+z^a, which leaves (1 - z^(a/gcd(a, n))) with its multiplicity unchanged.
+The sum is unpacked once, into the int list that ``algebra._reduce``
+turns into the reduced RatFun.
 """
 
 from __future__ import annotations
@@ -60,11 +52,12 @@ from .algebra import (
     FactoredRatFun,
     Poly,
     RatFun,
+    _add_scaled,
     _bias,
     _binomial_passes,
     _cover_horner,
-    _int_mul,
     _pack,
+    _reduce,
     _unpack,
     _width,
 )
@@ -75,12 +68,8 @@ from .counting import as_degree_vector, build_factored_gf, canonical_kind
 class PFD:
     """Partial fraction decomposition over t of the shifted generating function.
 
-    terms holds (i, k, A) for every pole exponent i (below the shift, when
-    ``partial_fractions`` is given one) and every power k = 1..beta_i,
-    ordered by (i, k); A is the coefficient of
-    1/(1 - t z^i)^k, kept in factored form with an integer numerator.
-    Zero coefficients are kept so the term list shape depends only on the
-    exponent map.
+    terms holds (i, k, A), ordered by (i, k), with A the coefficient of
+    1/(1 - t z^i)^k, a FactoredRatFun with an integer numerator.
     """
 
     d_star: int
@@ -182,26 +171,34 @@ def partial_fractions(exponents: dict, shift: "int | None" = None) -> PFD:
     distance m. Every k = 1..beta_i is emitted, zero coefficients included,
     for every pole i, or for the poles i < shift alone when a shift is given.
     """
+    terms = [
+        (i, k, FactoredRatFun(Poly._from_ints(num), {m: b + len(nums) - k for m, b in base.items()}))
+        for i, base, nums in _pole_numerators(exponents, shift)
+        for k, num in enumerate(nums, 1)
+    ]
+    return PFD(max(exponents) // 2, tuple(terms))
+
+
+def _pole_numerators(exponents: dict, shift: "int | None"):
+    """Per pole i (below the shift, when given one), in order: (i, {m: B_m}, nums).
+
+    nums[k - 1] is the numerator list of A_{i,k}: the terms of ``partial_fractions`` on int lists.
+    """
     if not exponents:
         raise ValueError("empty exponent map")
     for e, beta in exponents.items():
         if beta < 1:
             raise ValueError(f"multiplicity beta_{e} = {beta} must be >= 1")
-    terms = []
     for i in sorted(exponents):
         if shift is not None and i >= shift:
             break
-        top = exponents[i] - 1
         below = {i - e: beta for e, beta in exponents.items() if e < i}
         above = {e - i: beta for e, beta in exponents.items() if e > i}
-        base = {m: below.get(m, 0) + above.get(m, 0) for m in {*below, *above}}
+        base = {m: below.get(m, 0) + above.get(m, 0) for m in sorted({*below, *above})}
         lead = sum(m * beta for m, beta in below.items())
         sign = (-1) ** sum(below.values())
-        series = _pole_series(below, above, top)
-        for r in range(top, -1, -1):
-            num = Poly._from_ints([0] * lead + [sign * c for c in series[r]])
-            terms.append((i, top + 1 - r, FactoredRatFun(num, {m: b + r for m, b in base.items()})))
-    return PFD(max(exponents) // 2, tuple(terms))
+        series = _pole_series(below, above, exponents[i] - 1)
+        yield i, base, [[0] * lead + [sign * c for c in s_r] for s_r in reversed(series)]
 
 
 def _times_block(x: int, shift: int, k: int) -> int:
@@ -260,8 +257,8 @@ def _packed_multisect(ints, factors, n: int, width: int, out: int) -> tuple:
     return x, size
 
 
-def _multisect_sum(parts) -> FactoredRatFun:
-    """sum over the parts of phi_n(N / (denom prod (1 - z^a)^e)), on one cover.
+def _multisect_sum(parts) -> tuple:
+    """sum over the parts of phi_n(N / (denom prod (1 - z^a)^e)), on one cover: (ints, denom, cover).
 
     A part is (N, denom, factors, n): an int list, a positive int and the
     (a, e) pairs. With g = gcd(a, n) and k = n/g, the block
@@ -288,7 +285,7 @@ def _multisect_sum(parts) -> FactoredRatFun:
     the common width W is whole bytes for that bound. It holds the last
     phi_p's digits too, so that copy writes straight into W; the blocks
     stay at the part's w, which is often much narrower. A part with n = 1
-    is packed at W directly.
+    is packed at W directly. The summed ints may end in zeros.
     """
     cover, owns = {}, []
     for ints, denom, factors, n in parts:
@@ -314,7 +311,7 @@ def _multisect_sum(parts) -> FactoredRatFun:
             x -= x << bits * b
         total += scale * x
         size = max(size, length + sum(lift))
-    return FactoredRatFun(Poly._from_ints(_unpack(total, size, width), common), cover)
+    return _unpack(total, size, width), common, cover
 
 
 def phi_factored(f: FactoredRatFun, n: int) -> FactoredRatFun:
@@ -329,36 +326,50 @@ def phi_factored(f: FactoredRatFun, n: int) -> FactoredRatFun:
         raise ValueError("multisection index must be >= 1")
     if n == 1:
         return f
-    return _multisect_sum([(f.num.ints, f.num.denom, f.factors, n)])
+    ints, denom, cover = _multisect_sum([(f.num.ints, f.num.denom, f.factors, n)])
+    return FactoredRatFun(Poly._from_ints(ints, denom), cover)
 
 
-def _pole_part(r_funs, m: int, prefactor: list) -> tuple:
+def _pole_part(nums, base: dict, m: int, prefactor: list, denom: int = 1) -> tuple:
     """The ``_multisect_sum`` part of one pole below the shift: sum_k C(theta/m + k - 1, k - 1) R_k.
 
-    R_k is prefactor * r_funs[k - 1], the prefactor an int list multiplied
-    into each numerator list once. At a pole each R_k is N_k / (D_0 L^(beta - k))
-    (see ``partial_fractions``), and D_0 is read off R_beta, which
-    ``partial_fractions`` always emits over D_0 with the nonzero numerator
-    S_0 = 1. Zero R_k of any form are allowed; a nonzero one over other
-    factors raises ValueError. Horner's rule sums before the multisection
-    phi_m: acc = R_beta, then acc = R_(k-1) + (theta + c) acc / c with
-    c = m(k - 1) for k = beta down to 2. That is ``_cover_horner`` with the
-    integer weights w_k = prod_(l=k..beta-1) m l over one denominator, prod c
-    times the numerators' common denominator; a simple pole takes no step.
+    R_k = prefactor * nums[k - 1] / (denom D_0 L^(beta - k)), with D_0 =
+    prod (1 - z^a)^(B_a) over base {a: B_a} and L the product of its distinct
+    (1 - z^a). The prefactor, an int list with constant term 1, is one
+    shifted add per other nonzero term. Horner's rule sums before the
+    multisection phi_m: acc = R_beta, then acc = R_(k-1) + (theta + c) acc / c
+    with c = m(k - 1) for k = beta down to 2, which is ``_cover_horner`` with
+    the integer weights w_k = prod_(l=k..beta-1) m l over one denominator,
+    prod c times denom; a simple pole takes no step.
+    """
+    beta, tail = len(nums), [(j, c) for j, c in enumerate(prefactor) if j and c]
+    terms, weight = [], 1
+    for k in range(beta, 0, -1):
+        r = list(nums[k - 1])
+        for j, c in tail:
+            _add_scaled(r, j, c, nums[k - 1])
+        terms.append((weight, r))
+        if k > 1:
+            weight *= m * (k - 1)
+    p = _cover_horner(base, terms, [m * (k - 1) for k in range(beta, 1, -1)])
+    denom *= weight
+    if (g := gcd(denom, *p)) != 1:
+        p, denom = [x // g for x in p], denom // g
+    return p, denom, [(a, b + beta - 1) for a, b in base.items()], m
+
+
+def _factored_pole_part(r_funs, m: int, prefactor: list) -> tuple:
+    """``_pole_part`` of R_1..R_beta given as FactoredRatFun over one pole's cover.
+
+    D_0 is read off R_beta; a nonzero R_k not over D_0 L^(beta - k) raises ValueError.
     """
     beta, cover = len(r_funs), r_funs[-1].factors
     denom = lcm(*[r.num.denom for r in r_funs])
-    terms, weight = [], 1
-    for k in range(beta, 0, -1):
-        r = r_funs[k - 1]
+    for k, r in enumerate(r_funs, 1):
         if r.num and r.factors != tuple((a, b + beta - k) for a, b in cover):
             raise ValueError(f"R_{k} over {dict(r.factors)} does not share one pole's cover")
-        terms.append((weight * (denom // r.num.denom), _int_mul(r.num.ints, prefactor)))
-        if k > 1:
-            weight *= m * (k - 1)
-    p = _cover_horner(dict(cover), terms, [m * (k - 1) for k in range(beta, 1, -1)])
-    num = Poly._from_ints(p, denom * weight)
-    return num.ints, num.denom, [(a, b + beta - 1) for a, b in cover], m
+    nums = [[c * (denom // r.num.denom) for c in r.num.ints] for r in r_funs]
+    return _pole_part(nums, dict(cover), m, prefactor, denom)
 
 
 def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> FactoredRatFun:
@@ -374,7 +385,8 @@ def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> Factored
     if n < 1:
         raise ValueError("shift must be >= 1")
     if i < n:
-        return _multisect_sum([_pole_part([FactoredRatFun(ZERO)] * (k - 1) + [r_fun], n - i, [1])])
+        ints, denom, factors, m = _factored_pole_part([FactoredRatFun(ZERO)] * (k - 1) + [r_fun], n - i, [1])
+        return phi_factored(FactoredRatFun(Poly._from_ints(ints, denom), factors), m)
     # R(0) is num(0): every (1 - z^a) equals 1 at the origin
     if i == n:
         return FactoredRatFun(Poly([r_fun.num[0]]), {1: k})
@@ -391,26 +403,21 @@ _CACHE_SIZE = 256
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _poles(degrees: tuple) -> tuple:
-    """d* and, per pole i below the shift, (i, (A_(i,1), ..., A_(i,beta_i))) of the system."""
+    """d* and, per pole i below the shift, (i, base, nums) of ``_pole_numerators``."""
     d = as_degree_vector(degrees)
     # beta_0 >= 1 puts z^(i beta_0) in every A_{i,k}, so R_k(0) = 0 and the
     # psi terms at and above the shift, R_k(0)/(1 - z)^k and R_k(0), vanish
-    pfd = partial_fractions(build_factored_gf(d), d.d_star)
-    # the terms come ordered by (i, k), k = 1..beta_i, so poles[i][k - 1] is A_{i,k}
-    poles: dict[int, list] = {}
-    for i, _, a_ik in pfd.terms:
-        poles.setdefault(i, []).append(a_ik)
-    return d.d_star, tuple((i, tuple(a_i)) for i, a_i in poles.items())
+    return d.d_star, tuple(_pole_numerators(build_factored_gf(d), d.d_star))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _poincare_cached(degrees: tuple, kind: str) -> RatFun:
     # the decomposition does not depend on the kind: both kinds of one
-    # system read the one cached PFD and differ only in the prefactor
+    # system read the one cached decomposition and differ only in the prefactor
     d_star, poles = _poles(degrees)
     prefactor = _PREFACTOR[kind]
-    parts = [_pole_part(a_i, d_star - i, prefactor) for i, a_i in poles]
-    return _multisect_sum(parts).to_ratfun()
+    parts = [_pole_part(nums, base, d_star - i, prefactor) for i, base, nums in poles]
+    return _reduce(*_multisect_sum(parts))
 
 
 def poincare_series(d, kind: str) -> RatFun:
@@ -444,4 +451,4 @@ def single_form_series(d, kind: str) -> RatFun:
         # (z^2;z^2)_k (z^2;z^2)_(d-k); _multisect_sum merges the repeated (2j, 1)
         factors = [(2 * j, 1) for j in [*range(1, k + 1), *range(1, d - k + 1)]]
         parts.append(([0] * (k * (k + 1)) + [(-1) ** k * c for c in prefactor], 1, factors, d - 2 * k))
-    return _multisect_sum(parts).to_ratfun()
+    return _reduce(*_multisect_sum(parts))

@@ -448,7 +448,10 @@ class TestCoverOverCancelled:
     @given(cover_cancellation_cases())
     @settings(deadline=None, max_examples=150)
     def test_matches_euclid_reference(self, f):
-        assert f.to_ratfun() == euclid_reference(f)
+        # the routes reduce int lists with _reduce; to_ratfun hands it f's lists
+        expected = euclid_reference(f)
+        assert algebra._reduce(list(f.num.ints), f.num.denom, dict(f.factors)) == expected
+        assert f.to_ratfun() == expected
 
     def test_nothing_divided_out_when_nothing_cancels(self, monkeypatch):
         passes, calls = algebra._binomial_passes, []
@@ -457,10 +460,9 @@ class TestCoverOverCancelled:
             calls.append((list(ints), list(times), list(over)))
             return passes(ints, times, over)
 
-        f = FactoredRatFun(ONE, {6: 1})
-        expected = euclid_reference(f)
+        expected = euclid_reference(FactoredRatFun(ONE, {6: 1}))
         monkeypatch.setattr(algebra, "_binomial_passes", recorded)
-        got = f.to_ratfun()
+        got = algebra._reduce([1], 1, {6: 1})
         # the last call builds the denominator: 1 - z^6 itself, no quotient
         assert calls[-1] == ([1], [6], [])
         assert got == expected
@@ -469,6 +471,8 @@ class TestCoverOverCancelled:
         # taking every Psi_n for 1 - z, (1 - z)^2 cancels twice from a
         # cover that holds 1 - z once, and the denominator pass is inexact
         monkeypatch.setattr(algebra, "_moebius_binomials", lambda n: ([1], []))
+        with pytest.raises(ArithmeticError):
+            algebra._reduce([1, -2, 1], 1, {6: 1})
         with pytest.raises(ArithmeticError):
             FactoredRatFun(Poly([1, -2, 1]), {6: 1}).to_ratfun()
 
@@ -535,18 +539,19 @@ class TestPfdBelowTheShift:
     def test_routes_never_decompose_poles_at_or_above_the_shift(self, monkeypatch, capsys):
         from poincare_series import springer
 
-        decompose = springer.partial_fractions
-        results = []
+        decompose = springer._pole_numerators
+        poles = []
 
-        def recorded(*args, **kwargs):
-            results.append(decompose(*args, **kwargs))
-            return results[-1]
+        def recorded(exponents, shift):
+            for pole in decompose(exponents, shift):
+                poles.append((pole[0], shift))
+                yield pole
 
-        monkeypatch.setattr(springer, "partial_fractions", recorded)
+        monkeypatch.setattr(springer, "_pole_numerators", recorded)
         run_every_route()
         capsys.readouterr()
-        assert results
-        assert [(i, pfd.d_star) for pfd in results for i, _, _ in pfd.terms if i >= pfd.d_star] == []
+        assert poles
+        assert [(i, shift) for i, shift in poles if shift is None or i >= shift] == []
 
 
 class TestNoKroneckerForBinomials:

@@ -160,3 +160,22 @@ def test_only_cli_prints():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
     ]
     assert found == []
+
+
+def test_operator_route_builds_no_per_term_objects():
+    # from the pole decomposition to the reduced result the operator route runs
+    # on int lists: none of its functions names a per-term object type, the
+    # public decomposition or the general product
+    route = {
+        "_poles", "_pole_numerators", "_pole_series", "_pole_part",
+        "_multisect_sum", "_packed_multisect", "_poincare_cached",
+    }
+    forbidden = {"Poly", "FactoredRatFun", "PFD", "_int_mul", "partial_fractions"}
+    tree = ast.parse((SRC / "springer.py").read_text(encoding="utf-8"))
+    found = {}
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef) and func.name in route:
+            names = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)}
+            found[func.name] = sorted(names & forbidden)
+    assert found == {name: [] for name in route}

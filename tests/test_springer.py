@@ -19,6 +19,7 @@ from poincare_series.algebra import (
 )
 from poincare_series.counting import (
     DegreeVector,
+    as_degree_vector,
     build_factored_gf,
     degree_multisets,
     dimensions,
@@ -29,7 +30,7 @@ from poincare_series.springer import (
     _CACHE_SIZE,
     _multisect_sum,
     _poincare_cached,
-    _pole_part,
+    _factored_pole_part,
     _poles,
     partial_fractions,
     phi_factored,
@@ -65,9 +66,23 @@ def assemble(num, factors):
 ONE_PLUS_Z = Poly([1, 1])
 
 
+def factored(result):
+    """The FactoredRatFun of a ``_multisect_sum`` result (ints, denom, cover)."""
+    ints, denom, cover = result
+    return FactoredRatFun(Poly._from_ints(list(ints), denom), cover)
+
+
+def multisect_sum(parts):
+    return factored(_multisect_sum(parts))
+
+
 def pole_sum(r_funs, m, prefactor):
-    """The route's sum at one pole below the shift: phi_m of sum_k C(theta/m + k - 1, k - 1) R_k."""
-    return _multisect_sum([_pole_part(r_funs, m, prefactor)])
+    """The route's sum at one pole below the shift: phi_m of sum_k C(theta/m + k - 1, k - 1) R_k.
+
+    The R_k reach ``_pole_part`` as lists through ``_factored_pole_part``, as in
+    ``psi_term_factored``, which checks that they share one pole's cover.
+    """
+    return multisect_sum([_factored_pole_part(r_funs, m, prefactor)])
 
 
 # the semi-invariant and invariant prefactors, 1 + z and 1 - z^2
@@ -110,6 +125,8 @@ pfd_exponent_maps = st.one_of(
 
 # every system of degree sum at most 12 in at most 6 forms, plus ladder anchors
 SHIFT_SYSTEMS = list(degree_multisets(12, 6)) + [(1, 2, 3), (20,), (4, 5, 6, 7), (10, 10), (2,) * 14]
+# every system of degree sum at most 12 in at most 6 forms, plus the springer-ladder anchors
+POLE_SYSTEMS = list(degree_multisets(12, 6)) + [(1, 2, 3), (1, 2, 3, 4, 5), (3, 4, 5, 6), (8, 8), (12,), (10, 10)]
 
 
 class TestPartialFractions:
@@ -433,7 +450,7 @@ class TestMultisectSum:
             for _ in range(rng.randint(1, 4)):
                 f = random_factored(rng, max_factors=4, max_exp=8, max_mult=3)
                 parts.append((f.num.ints, f.num.denom, f.factors, rng.randint(1, 12)))
-            got, want = _multisect_sum(parts), pairwise_phi_sum(parts)
+            got, want = multisect_sum(parts), pairwise_phi_sum(parts)
             assert (got.num, got.factors) == (want.num, want.factors), parts
 
     def test_edge_parts(self):
@@ -444,12 +461,12 @@ class TestMultisectSum:
             ([0, 0, -3, 1], 2, [(2, 1), (2, 2), (5, 1)], 4),  # one a twice, merged
             ([4, 0, 1], 1, [], 2),  # no factor at all
         ]
-        got, want = _multisect_sum(parts), pairwise_phi_sum(parts)
+        got, want = multisect_sum(parts), pairwise_phi_sum(parts)
         assert (got.num, got.factors) == (want.num, want.factors)
         assert dict(got.factors)[7] == 2
-        assert _multisect_sum([]).is_zero()
+        assert multisect_sum([]).is_zero()
         for part in parts:
-            got, want = _multisect_sum([part]), pairwise_phi_sum([part])
+            got, want = multisect_sum([part]), pairwise_phi_sum([part])
             assert (got.num, got.factors) == (want.num, want.factors), part
 
     def test_digit_at_the_width_bound(self):
@@ -466,7 +483,7 @@ class TestMultisectSum:
         bound = c * prod(k**e for _, k, e in blocks)
         assert max(map(abs, full)) == bound
         assert bound in full[::n]
-        got = _multisect_sum([(ints, 1, factors, n)])
+        got = multisect_sum([(ints, 1, factors, n)])
         want = ref_phi(FactoredRatFun(Poly(ints), factors), n)
         assert (got.num, got.factors) == (want.num, want.factors)
 
@@ -482,7 +499,7 @@ class TestMultisectSum:
                 ints = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
                 factors = [(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
                 parts.append((ints, denom, factors, rng.randint(1, 8)))
-            got, want = _multisect_sum(parts), pairwise_phi_sum(parts)
+            got, want = multisect_sum(parts), pairwise_phi_sum(parts)
             assert (got.num, got.factors) == (want.num, want.factors), parts
             owns = [dict(ref_phi(FactoredRatFun(ONE, f), n).factors) for _, _, f, n in parts]
             lifted += any(own != dict(got.factors) for own in owns)
@@ -511,7 +528,7 @@ class TestMultisectSum:
             return digits
 
         monkeypatch.setattr(springer, "_unpack", recorded)
-        got, want = _multisect_sum(parts), pairwise_phi_sum(parts)
+        got, want = multisect_sum(parts), pairwise_phi_sum(parts)
         assert (got.num, got.factors) == (want.num, want.factors)
         ((width, digits),) = reads
         bound = 10 * 8 * c + 15 * c2 + 6 * 2 * 4
@@ -588,7 +605,7 @@ def multisect_width_margins(parts, widths, result):
     stage, scaled part and partial sum at most the sum bound and below
     2^(8W - 1). Returns (block margin, sum margin), the smallest spare bits.
     """
-    cover = dict(result.factors)
+    cover = dict(result[2])
     common = lcm(*[denom for _, denom, _, _ in parts])
     live = []
     for ints, denom, factors, n in parts:
@@ -631,7 +648,7 @@ def multisect_width_margins(parts, widths, result):
         largest = max(max(map(abs, stage)) for stage in [*stages, digits, total])
         assert largest <= sum_bound and largest < 1 << 8 * out - 1, (parts, n, largest, out)
         sum_margin = min(sum_margin, 8 * out - 1 - largest.bit_length())
-    assert Poly._from_ints(total, common) == result.num, parts
+    assert result[1] == common and Poly._from_ints(total, common) == factored(result).num, parts
     return block_margin, sum_margin
 
 
@@ -824,13 +841,13 @@ class TestPoincareSeries:
         assert _poincare_cached.cache_info().hits == hits + 1
 
     def test_one_decomposition_for_both_kinds(self, monkeypatch):
-        decompose, calls = springer.partial_fractions, []
+        decompose, calls = springer._pole_numerators, []
 
         def counted(*args):
             calls.append(args)
             return decompose(*args)
 
-        monkeypatch.setattr(springer, "partial_fractions", counted)
+        monkeypatch.setattr(springer, "_pole_numerators", counted)
         _poincare_cached.cache_clear()
         _poles.cache_clear()
         try:
@@ -840,6 +857,22 @@ class TestPoincareSeries:
             _poincare_cached.cache_clear()
             _poles.cache_clear()
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", POLE_SYSTEMS)
+    def test_route_poles_match_partial_fractions(self, d):
+        # the route reads _poles' lists, never partial_fractions' terms: both
+        # come from one per-pole generator and must not drift apart
+        d = as_degree_vector(d)
+        d_star, poles = _poles(d.degrees)
+        pfd = partial_fractions(build_factored_gf(d), d.d_star)
+        assert d_star == d.d_star
+        got = [
+            (i, k, tuple(num), tuple(sorted((m, b + len(nums) - k) for m, b in base.items())))
+            for i, base, nums in poles
+            for k, num in enumerate(nums, 1)
+        ]
+        assert got == [(i, k, a.num.ints, a.factors) for i, k, a in pfd.terms]
+        assert all(a.num.denom == 1 for _, _, a in pfd.terms)
 
     def test_pfd_cache_is_bounded(self):
         assert _poles.cache_info().maxsize == _CACHE_SIZE
@@ -851,7 +884,7 @@ class TestPoincareSeries:
 
         def snapshot():
             d_star, poles = _poles(degrees)
-            return d_star, [(i, [(a.num.ints, a.num.denom, a.factors) for a in a_i]) for i, a_i in poles]
+            return d_star, [(i, dict(base), [tuple(num) for num in nums]) for i, base, nums in poles]
 
         before = snapshot()
         poincare_series(degrees, "invariants")
