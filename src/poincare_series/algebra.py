@@ -18,10 +18,11 @@ and a cover prod (1 - z^a)^e to a reduced ``RatFun`` in the cyclotomic
 basis: the cover is prod_n Psi_n^(c_n) with c_n = sum of e over the a
 divisible by n, where Psi_n = prod over d | n of (1 - z^d)^mu(n/d) is Phi_n
 up to sign. The Phi_n are irreducible and pairwise coprime, so each is
-cancelled by exact binomial passes and no gcd is computed. No route builds
-a ``FactoredRatFun``, the type of ``springer.partial_fractions``' terms.
-Long division and ``poly_gcd`` (Euclid over Q, inside the ``RatFun``
-constructor) remain the general route and the tests' reference.
+cancelled by exact binomial passes and no gcd is computed; both trials
+read residue classes first. No route builds a ``FactoredRatFun``, the type
+of ``springer.partial_fractions``' terms. Long division and ``poly_gcd``
+(Euclid over Q, inside the ``RatFun`` constructor) remain the general
+route and the tests' reference.
 """
 
 from __future__ import annotations
@@ -180,25 +181,27 @@ def _cover_horner(base: dict, terms, consts=None) -> list:
     x_a = L / (1 - z^a), U = sum B_a a z^(a-1) x_a and V = sum a z^(a-1) x_a,
     a theta step sets P = (c P + z P') L + z P (U + j V) + w_s N_s. Neither L
     nor U + j V is formed: one pass over the cover takes
-    acc = acc (1 - z^a) + (B_a + j) a z^(a-1) full and full = full (1 - z^a),
-    from acc = c P + z P' (or P') and full = z P (or P): 2 #cover - 1
-    binomial passes and #cover scaled adds per step.
+    acc = acc (1 - z^a) + (B_a + j) a z^a full = acc + z^a ((B_a + j) a full - acc)
+    and full = full (1 - z^a), from acc = c P + z P' and full = P: one
+    difference and one shifted add per factor. A d/dz step is the theta
+    step with c = 0 divided by z, as z P' = theta P.
     """
     (w, p), *rest = terms
     p = [w * x for x in p]
     cover = sorted(base)
     for j, (w, num) in enumerate(rest):
-        if consts is None:
-            # p is not read again, so full may take it over
-            acc, full = list(map(mul, range(1, len(p)), p[1:])), p
-        else:
-            c = consts[j]
-            acc, full = list(map(mul, range(c, c + len(p)), p)), [0] + p
+        c = 0 if consts is None else consts[j]
+        # p is not read again, so full may take it over
+        acc, full = list(map(mul, range(c, c + len(p)), p)), p
         for left, a in enumerate(cover, 1 - len(cover)):
-            _times_binomial(acc, a)
-            _add_scaled(acc, a - 1, (base[a] + j) * a, full)
+            # acc and full keep one length, so the difference is one map
+            step = list(map(sub, map(mul, full, repeat((base[a] + j) * a)), acc))
+            acc += [0] * a
+            acc[a:] = map(add, acc[a:], step)
             if left:
                 _times_binomial(full, a)
+        if consts is None:
+            del acc[0]
         if w and num:
             _add_scaled(acc, 0, w, num)
         p = acc
@@ -537,13 +540,38 @@ class RatFun:
 
 
 def _cancel_binomials(ints, factors: dict) -> tuple:
-    """(quotient, {a: e} left): ints with every (1 - z^a) of factors that divides it exactly cancelled."""
+    """(quotient, {a: e} left): ints with every (1 - z^a) of factors that divides it exactly cancelled.
+
+    A quotient by 1 - z^a has as its residue classes mod a those of the
+    dividend, each prefix-summed without its total, and is exact iff every
+    total is zero. So each factor prefix-sums its a classes up to e times,
+    stopping at the first nonzero total, and builds its quotient once.
+    """
     num, remaining = ints, {}
     for a, e in sorted(factors.items(), reverse=True):
-        while e and (q := _binomial_passes(num, (), (a,))) is not None:
-            num, e = q, e - 1
-        if e:
+        if sum(num[::a]):
+            # one sum in C rejects most factors that do not divide even once
             remaining[a] = e
+            continue
+        k, classes = 0, (num[r::a] for r in range(a))
+        while k < e:
+            sums = []
+            for c in classes:
+                s = list(accumulate(c))
+                # an empty class sums to zero
+                if s and s.pop():
+                    break
+                sums.append(s)
+            else:
+                classes, k = sums, k + 1
+                continue
+            break
+        if k:
+            num = [0] * sum(map(len, classes))
+            for r, c in enumerate(classes):
+                num[r::a] = c
+        if k < e:
+            remaining[a] = e - k
     return num, remaining
 
 
@@ -553,8 +581,10 @@ def _reduce(ints: list, denom: int, factors: dict) -> RatFun:
     Whole (1 - z^a) factors are cancelled first (``_cancel_binomials``),
     then each Psi_n while the division is exact, at most c_n times: a product
     by its mu = -1 binomials, then quotients by its mu = +1 ones
-    (``_moebius_binomials``), exact iff every pass is. The denominator is the
-    kept cover over the Psi_n that cancelled, in one call of binomial passes.
+    (``_moebius_binomials``), exact iff every pass is. Phi_n divides z^n - 1,
+    so on a numerator longer than 4n the passes run first on its n residue
+    class sums and only then on the whole. The denominator is the kept cover
+    over the Psi_n that cancelled, in one call of binomial passes.
     """
     num, kept = _cancel_binomials(ints, factors)
     times, over, counts = [], [], {}
@@ -564,7 +594,14 @@ def _reduce(ints: list, denom: int, factors: dict) -> RatFun:
             counts[n] = counts.get(n, 0) + e
     for n, c in counts.items():
         plus, minus = _moebius_binomials(n)
-        while c and (q := _binomial_passes(num, minus, plus)) is not None:
+        while c:
+            # on a numerator of at most 4n entries the residue sums save no pass
+            long = len(num) > 4 * n
+            q = _binomial_passes([sum(num[r::n]) for r in range(n)] if long else num, minus, plus)
+            if q is None:
+                break
+            if long and (q := _binomial_passes(num, minus, plus)) is None:
+                raise ArithmeticError(f"Psi_{n} divides the residue sums but not the numerator")
             num, c = q, c - 1
             times += minus
             over += plus

@@ -45,7 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import comb, gcd, lcm, prod
+from operator import floordiv, mod
 
 from .algebra import (
     ZERO,
@@ -122,9 +124,11 @@ def _pole_series(below: dict, above: dict, top: int) -> list:
         acc = sum(sums[j] * packed[r - j] for j in range(1, r + 1))
         # deg S_r <= r deg L; every digit is checked, so acc // r is exact
         digits = _unpack(acc, r * (len(cover) - 1) + 1, width)
-        if any(c % r for c in digits):
-            raise ArithmeticError(f"r S_r is not divisible by r = {r}")
-        series.append([c // r for c in digits])
+        if r > 1:
+            if any(map(mod, digits, repeat(r))):
+                raise ArithmeticError(f"r S_r is not divisible by r = {r}")
+            digits = list(map(floordiv, digits, repeat(r)))
+        series.append(digits)
         packed.append(acc // r)
     return series
 

@@ -392,6 +392,17 @@ def ref_greedy_factor(den: list):
     return factors, rem
 
 
+def ref_cancel_binomials(ints, factors: dict):
+    """algebra._cancel_binomials by unit trials: one full binomial pass per (1 - z^a) tried."""
+    num, remaining = ints, {}
+    for a, e in sorted(factors.items(), reverse=True):
+        while e and (q := _binomial_passes(num, (), (a,))) is not None:
+            num, e = q, e - 1
+        if e:
+            remaining[a] = e
+    return num, remaining
+
+
 def ref_degree_multisets(max_total: int, max_deg: int):
     """counting.degree_multisets by recursion on the budget, sorted at the end."""
     out = []

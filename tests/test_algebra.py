@@ -22,7 +22,15 @@ from poincare_series.algebra import (
 )
 from poincare_series.springer import poincare_series
 
-from _oracles import cyclotomics, den_poly, factored_series, ratfun_add, ratfun_derivative, ref_expand
+from _oracles import (
+    cyclotomics,
+    den_poly,
+    factored_series,
+    ratfun_add,
+    ratfun_derivative,
+    ref_cancel_binomials,
+    ref_expand,
+)
 
 small_polys = st.builds(
     Poly, st.lists(st.integers(min_value=-5, max_value=5), max_size=6)
@@ -475,6 +483,107 @@ class TestCoverOverCancelled:
             algebra._reduce([1, -2, 1], 1, {6: 1})
         with pytest.raises(ArithmeticError):
             FactoredRatFun(Poly([1, -2, 1]), {6: 1}).to_ratfun()
+
+
+@st.composite
+def binomial_cancellation_cases(draw):
+    """An int list, empty or zero or shorter than some a included, times some
+    (1 - z^a) units, with trailing zeros, over a cover {a: e} with a <= 12."""
+    ints = draw(st.lists(st.integers(-4, 4), max_size=8))
+    for a in draw(st.lists(st.integers(1, 12), max_size=5)):
+        ints = algebra._binomial_passes(ints, (a,), ()) if ints else ints
+    ints = ints + [0] * draw(st.integers(0, 3))
+    cover = draw(st.dictionaries(st.integers(1, 12), st.integers(1, 4), min_size=1, max_size=4))
+    return ints, cover
+
+
+class TestCancelByResidueClasses:
+    """_cancel_binomials by residue classes equals one full trial per unit."""
+
+    @given(binomial_cancellation_cases())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_unit_trials(self, case):
+        ints, cover = case
+        assert algebra._cancel_binomials(ints, cover) == ref_cancel_binomials(ints, cover)
+
+    @pytest.mark.parametrize(
+        "ints", [[], [0], [0, 0, 0], [0] * 13, [1, -1], [1, -1, 0, 0], [2], [1, 0, -1], [3, 0, 0, -3, 0]]
+    )
+    def test_edge_numerators(self, ints):
+        # an empty class sums to zero and divides, as the unit trial treats []
+        for cover in ({1: 3}, {2: 2}, {3: 1, 5: 2}, {12: 4}, {1: 1, 2: 1, 3: 1}):
+            got = algebra._cancel_binomials(ints, cover)
+            assert got == ref_cancel_binomials(ints, cover), (ints, cover)
+            assert algebra._cancel_binomials(tuple(ints), cover)[1] == got[1]
+
+    def test_untouched_numerator_is_returned_as_is(self):
+        ints = (1, 1, 1)
+        assert algebra._cancel_binomials(ints, {2: 1, 4: 2}) == (ints, {2: 1, 4: 2})
+
+
+class TestResidueSumTest:
+    """Phi_n divides a numerator iff it divides its n residue sums mod z^n - 1."""
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_agrees_with_the_full_pass(self, n):
+        plus, minus = algebra._moebius_binomials(n)
+        phi = cyclotomics([n])[n]
+        rng = random.Random(n)
+        for k in range(4):
+            for _ in range(3):
+                head = [rng.randint(-5, 5) for _ in range(rng.randint(0, 8))]
+                ints = list((Poly(head + [rng.choice([-2, 1, 3])]) * phi**k).ints)
+                for perturb in (False, True):
+                    if perturb:
+                        ints[rng.randrange(len(ints))] += rng.choice([-1, 1])
+                    residues = [sum(ints[r::n]) for r in range(n)]
+                    full = algebra._binomial_passes(ints, minus, plus)
+                    short = algebra._binomial_passes(residues, minus, plus)
+                    assert (full is None) == (short is None), (n, k, perturb, ints)
+                    assert full is not None or perturb or not k, (n, k, ints)
+
+    @pytest.mark.parametrize("kind", ["invariants", "semiinvariants"])
+    def test_no_full_pass_fails_on_the_ladder(self, monkeypatch, kind):
+        from poincare_series import springer
+
+        recorded = []
+        monkeypatch.setattr(springer, "_reduce", lambda *args: recorded.append(args) or algebra._reduce(*args))
+        springer._poincare_cached.cache_clear()
+        springer._poles.cache_clear()
+        try:
+            for degs in [(1, 2, 3), (1, 2, 3, 4, 5), (3, 4, 5, 6), (8, 8), (12,), (10, 10)]:
+                poincare_series(degs, kind)
+        finally:
+            springer._poincare_cached.cache_clear()
+            springer._poles.cache_clear()
+        assert len(recorded) == 6
+        passes, calls = algebra._binomial_passes, []
+
+        def spy(ints, times, over):
+            out = passes(ints, times, over)
+            calls.append((len(ints), max(over, default=0), out is not None))
+            return out
+
+        monkeypatch.setattr(algebra, "_binomial_passes", spy)
+        full = []
+        for args in recorded:
+            algebra._reduce(*args)
+            # the last call builds the denominator. Before it, a Psi_n trial on a
+            # numerator longer than 4n tests the n residue sums first, and passes
+            # over the whole numerator only when they were exact
+            full += [ok for size, n, ok in calls[:-1] if size > 4 * n]
+            calls.clear()
+        assert all(full)
+        # Psi_n cancels in both kinds of (8,8) and the invariants of (12,) and (10,10)
+        assert full
+
+    def test_failing_full_pass_raises(self, monkeypatch):
+        # 1 - z^2 does not divide the numerator as a whole, the residue sum [0]
+        # of Psi_1 is exact, and a full pass that then fails is an error, not a skip
+        passes = algebra._binomial_passes
+        monkeypatch.setattr(algebra, "_binomial_passes", lambda ints, t, o: None if len(ints) > 1 else passes(ints, t, o))
+        with pytest.raises(ArithmeticError, match="Psi_1"):
+            algebra._reduce([1, 1, 1, 1, 1, -5], 1, {2: 1})
 
 
 def run_every_route():
