@@ -19,7 +19,9 @@ basis: the cover is prod_n Psi_n^(c_n) with c_n = sum of e over the a
 divisible by n, where Psi_n = prod over d | n of (1 - z^d)^mu(n/d) is Phi_n
 up to sign. The Phi_n are irreducible and pairwise coprime, so each is
 cancelled by exact binomial passes and no gcd is computed; both trials
-read residue classes first. No route builds a ``FactoredRatFun``, the type
+read residue classes first. The whole-factor trial, ``_cancel_binomials``,
+also splits the CLI's denominators (``cli.greedy_factor``) and serves
+``FactoredRatFun.reduced``. No route builds a ``FactoredRatFun``, the type
 of ``springer.partial_fractions``' terms. Long division and ``poly_gcd``
 (Euclid over Q, inside the ``RatFun`` constructor) remain the general
 route and the tests' reference.

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .algebra import Poly, RatFun, _binomial_passes, _factor_text, _series_ints
+from .algebra import Poly, RatFun, _cancel_binomials, _factor_text, _series_ints
 from .closedform import applicable as closedform_applicable
 from .closedform import for_degree_vector as closedform_series
 from .counting import KIND_CHOICES, KINDS, DegreeVector, canonical_kind, degree_multisets, dimensions
@@ -83,16 +83,15 @@ def _integer_parts(f: RatFun):
 
 
 def greedy_factor(den: list):
-    """Split a denominator int list into (1 - z^a) factors, a descending, plus a remainder list."""
-    factors: dict[int, int] = {}
-    rem = den
-    for a in range(len(den) - 1, 0, -1):
-        # 1 - z^a divides rem only if rem vanishes at every a-th root of unity,
-        # so only if the coefficients at multiples of a sum to zero
-        while len(rem) > a and not sum(rem[::a]) and (q := _binomial_passes(rem, (), (a,))) is not None:
-            factors[a] = factors.get(a, 0) + 1
-            rem = q
-    return factors, rem
+    """Split a denominator int list into (1 - z^a) factors, a descending, plus a remainder list.
+
+    ``_cancel_binomials`` tries each a < n = len(den) from the top, n times at
+    most: no 1 - z^a divides a nonzero list of at most a terms, so n bounds
+    every multiplicity, and each a is left n minus its multiplicity.
+    """
+    n = len(den)
+    rem, left = _cancel_binomials(den, dict.fromkeys(range(1, n), n))
+    return {a: n - e for a, e in left.items() if e < n}, rem
 
 
 def _display_parts(f: RatFun):

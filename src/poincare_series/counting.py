@@ -67,7 +67,8 @@ class DegreeVector:
         """Weight multiset {d_k - 2j : 0 <= j <= d_k}, descending."""
         out = []
         for d in self.degrees:
-            out.extend(d - 2 * j for j in range(d + 1))
+            # a range states its length, so a ladder too long to allocate fails at once
+            out.extend(range(d, -d - 1, -2))
         return tuple(sorted(out, reverse=True))
 
     def __str__(self):

@@ -50,7 +50,6 @@ from math import comb, gcd, lcm, prod
 from operator import floordiv, mod
 
 from .algebra import (
-    ZERO,
     FactoredRatFun,
     Poly,
     RatFun,
@@ -362,20 +361,6 @@ def _pole_part(nums, base: dict, m: int, prefactor: list, denom: int = 1) -> tup
     return p, denom, [(a, b + beta - 1) for a, b in base.items()], m
 
 
-def _factored_pole_part(r_funs, m: int, prefactor: list) -> tuple:
-    """``_pole_part`` of R_1..R_beta given as FactoredRatFun over one pole's cover.
-
-    D_0 is read off R_beta; a nonzero R_k not over D_0 L^(beta - k) raises ValueError.
-    """
-    beta, cover = len(r_funs), r_funs[-1].factors
-    denom = lcm(*[r.num.denom for r in r_funs])
-    for k, r in enumerate(r_funs, 1):
-        if r.num and r.factors != tuple((a, b + beta - k) for a, b in cover):
-            raise ValueError(f"R_{k} over {dict(r.factors)} does not share one pole's cover")
-    nums = [[c * (denom // r.num.denom) for c in r.num.ints] for r in r_funs]
-    return _pole_part(nums, dict(cover), m, prefactor, denom)
-
-
 def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> FactoredRatFun:
     """Diagonal of R(z)/(1 - t z^i)^k under t^j z^(j n) extraction.
 
@@ -389,8 +374,9 @@ def psi_term_factored(i: int, k: int, r_fun: FactoredRatFun, n: int) -> Factored
     if n < 1:
         raise ValueError("shift must be >= 1")
     if i < n:
-        ints, denom, factors, m = _factored_pole_part([FactoredRatFun(ZERO)] * (k - 1) + [r_fun], n - i, [1])
-        return phi_factored(FactoredRatFun(Poly._from_ints(ints, denom), factors), m)
+        part = _pole_part([()] * (k - 1) + [r_fun.num.ints], dict(r_fun.factors), n - i, [1], r_fun.num.denom)
+        ints, denom, cover = _multisect_sum([part])
+        return FactoredRatFun(Poly._from_ints(ints, denom), cover)
     # R(0) is num(0): every (1 - z^a) equals 1 at the origin
     if i == n:
         return FactoredRatFun(Poly([r_fun.num[0]]), {1: k})

@@ -57,6 +57,13 @@ class TestDegreeVector:
         assert DegreeVector((2,)).weights() == (2, 0, -2)
         assert DegreeVector((1, 2)).weights() == (2, 1, 0, -1, -2)
 
+    @pytest.mark.parametrize("degs", [(10**46,), (2, 10**18)])
+    def test_weights_too_long_to_allocate_fail_at_once(self, degs):
+        # each ladder has d + 1 weights; a list of that length cannot be
+        # allocated, so building it fails before any weight is computed
+        with pytest.raises((OverflowError, MemoryError)):
+            DegreeVector(degs).weights()
+
     def test_as_degree_vector_accepts_int(self):
         assert as_degree_vector(3).degrees == (3,)
 

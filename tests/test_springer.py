@@ -30,7 +30,7 @@ from poincare_series.springer import (
     _CACHE_SIZE,
     _multisect_sum,
     _poincare_cached,
-    _factored_pole_part,
+    _pole_part,
     _poles,
     partial_fractions,
     phi_factored,
@@ -79,10 +79,16 @@ def multisect_sum(parts):
 def pole_sum(r_funs, m, prefactor):
     """The route's sum at one pole below the shift: phi_m of sum_k C(theta/m + k - 1, k - 1) R_k.
 
-    The R_k reach ``_pole_part`` as lists through ``_factored_pole_part``, as in
-    ``psi_term_factored``, which checks that they share one pole's cover.
+    The R_k reach ``_pole_part`` as lists over their common denominator, with
+    D_0 read off R_beta; a nonzero R_k not over D_0 L^(beta - k) raises ValueError.
     """
-    return multisect_sum([_factored_pole_part(r_funs, m, prefactor)])
+    beta, cover = len(r_funs), r_funs[-1].factors
+    denom = lcm(*[r.num.denom for r in r_funs])
+    for k, r in enumerate(r_funs, 1):
+        if r.num and r.factors != tuple((a, b + beta - k) for a, b in cover):
+            raise ValueError(f"R_{k} over {dict(r.factors)} does not share one pole's cover")
+    nums = [[c * (denom // r.num.denom) for c in r.num.ints] for r in r_funs]
+    return multisect_sum([_pole_part(nums, dict(cover), m, prefactor, denom)])
 
 
 # the semi-invariant and invariant prefactors, 1 + z and 1 - z^2
