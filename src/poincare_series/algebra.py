@@ -2,12 +2,10 @@
 
 A polynomial in one variable z is stored as integer numerators over one
 positive integer denominator, so that products and divisions run on
-Python ints. A product with an operand of one or two nonzero terms, such
-as 1 - z^a, 1 + z or c z^k, is the other operand's numerators scaled and
-shifted once per term and added, O(degree); packing would cost more than
-that product. Any other product packs both numerator lists into single
-big integers (Kronecker substitution) and lets the interpreter's
-big-integer multiply do the convolution. A quotient by 1 - z^a is the
+Python ints. Every product of two polynomials packs both numerator lists
+into single big integers (Kronecker substitution) and lets the
+interpreter's big-integer multiply do the convolution; the routes
+multiply on numerator lists, not on ``Poly``. A quotient by 1 - z^a is the
 stride-a prefix sum of the numerators (``_binomial_passes``). Chains of
 derivatives over one cover of (1 - z^a) factors run on the numerator
 lists as well (``_cover_horner``): the pole sums of ``springer``, the
@@ -73,13 +71,15 @@ def _unpack(value: int, size: int, width: int) -> list:
 
 
 def _kronecker_mul(a, b) -> list:
-    """Convolution of two int sequences with a nonzero term each, by Kronecker substitution.
+    """Convolution of two int sequences by Kronecker substitution; [] if either has no nonzero term.
 
     Each sequence becomes one integer with a digit of ``width`` bytes per
     coefficient, the two integers are multiplied once, and the product's
     digits are read back. The width leaves room for the largest possible
     product coefficient and its sign.
     """
+    if not (any(a) and any(b)):
+        return []
     width = _width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
     x = _pack(a, width)
     y = x if b is a else _pack(b, width)
@@ -95,19 +95,6 @@ def _add_scaled(out: list, shift: int, c: int, ints) -> None:
         out[shift:end] = map(add, window, ints)
     else:
         out[shift:end] = map(add, window, map(mul, ints, repeat(c)))
-
-
-def _int_mul(a, b) -> list:
-    """Product of two int sequences, either possibly empty: shifted adds or Kronecker."""
-    if len(b) - b.count(0) > 2:
-        a, b = b, a
-    if len(b) - b.count(0) > 2:
-        return _kronecker_mul(a, b)
-    out = []
-    for k, c in enumerate(b):
-        if c:
-            _add_scaled(out, k, c, a)
-    return out
 
 
 def _times_binomial(ints: list, a: int) -> None:
@@ -289,16 +276,9 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b, denom = self.ints, other.ints, self.denom
-        if other.denom != denom:
-            denom = lcm(denom, other.denom)
-            a = [c * (denom // self.denom) for c in a]
-            b = [c * (denom // other.denom) for c in b]
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
+        denom, out = lcm(self.denom, other.denom), []
+        _add_scaled(out, 0, denom // self.denom, self.ints)
+        _add_scaled(out, 0, denom // other.denom, other.ints)
         return Poly._from_ints(out, denom)
 
     def __sub__(self, other):
@@ -312,19 +292,12 @@ class Poly:
             )
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly._from_ints(_int_mul(self.ints, other.ints), self.denom * other.denom)
+        return Poly._from_ints(_kronecker_mul(self.ints, other.ints), self.denom * other.denom)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return prod(repeat(self, n), start=ONE)
 
     def __divmod__(self, other: "Poly"):
         """Quotient and remainder over Q, by long division on the numerators.
@@ -383,14 +356,8 @@ class Poly:
         return Poly._from_ints([i * c for i, c in enumerate(self.ints)][1:], self.denom)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.ints[-1]
-        if lead == self.denom:
-            return self
-        if lead < 0:
-            return Poly._from_ints([-c for c in self.ints], -lead)
-        return Poly._from_ints(list(self.ints), lead)
+        lead = self.ints[-1] if self.ints else 1
+        return Poly._from_ints([c if lead > 0 else -c for c in self.ints], abs(lead))
 
     def to_string(self) -> str:
         """Human-readable form, ascending exponents: 1 + 4z + 2z^3."""

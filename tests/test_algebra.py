@@ -75,9 +75,8 @@ class TestPoly:
         ids=["one term", "two terms", "five terms", "Fraction"],
     )
     def test_zero_products(self, p):
-        # _int_mul adds shifted copies of one operand per term of the other: with
-        # more than two nonzero terms p is the copied one, else the empty operand
-        # is; both give the canonical zero, over 1 even when p is not
+        # the packed product of an operand with no nonzero term is empty, so
+        # every zero product is the canonical zero, over 1 even when p is not
         for product in (ZERO * p, p * ZERO, ZERO * ZERO):
             assert product == ZERO
             assert product.denom == 1
@@ -661,22 +660,6 @@ class TestPfdBelowTheShift:
         capsys.readouterr()
         assert poles
         assert [(i, shift) for i, shift in poles if shift is None or i >= shift] == []
-
-
-class TestNoKroneckerForBinomials:
-    """Every product with a one- or two-term operand is a shifted add."""
-
-    def test_routes_never_pack_a_binomial(self, monkeypatch, capsys):
-        packed = algebra._kronecker_mul
-
-        def guarded(a, b):
-            if min(len(a) - a.count(0), len(b) - b.count(0)) <= 2:
-                raise AssertionError("Kronecker product with a one- or two-term operand")
-            return packed(a, b)
-
-        monkeypatch.setattr(algebra, "_kronecker_mul", guarded)
-        run_every_route()
-        capsys.readouterr()
 
 
 class TestClosedFormsByHorner:

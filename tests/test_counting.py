@@ -1,5 +1,8 @@
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +23,23 @@ from poincare_series.counting import (
 from poincare_series.springer import poincare_series
 
 from _oracles import enumerate_omega, generating_function_biseries, ref_count, ref_omega_table
+
+# argv: the directory holding poincare_series, then the degrees. Prints the
+# error that weights() raised and the child's max RSS in bytes
+ALLOCATION_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from poincare_series.counting import DegreeVector
+try:
+    DegreeVector(tuple(map(int, sys.argv[2:]))).weights()
+    error = "None"
+except (OverflowError, MemoryError) as exc:
+    error = type(exc).__name__
+# ru_maxrss is in kilobytes on Linux and in bytes on macOS
+scale = 1 if sys.platform == "darwin" else 1024
+print(error, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale)
+"""
 
 degree_tuples = st.lists(
     st.integers(min_value=1, max_value=4), min_size=1, max_size=4
@@ -60,9 +80,17 @@ class TestDegreeVector:
     @pytest.mark.parametrize("degs", [(10**46,), (2, 10**18)])
     def test_weights_too_long_to_allocate_fail_at_once(self, degs):
         # each ladder has d + 1 weights; a list of that length cannot be
-        # allocated, so building it fails before any weight is computed
-        with pytest.raises((OverflowError, MemoryError)):
-            DegreeVector(degs).weights()
+        # allocated, so building it fails before any weight is computed. The
+        # child caps its own address space at 1 GiB and runs under a timeout,
+        # so a ladder built term by term fails this test instead of growing
+        proc = subprocess.run(
+            [sys.executable, "-c", ALLOCATION_CHILD, str(Path(counting.__file__).parents[1]), *map(str, degs)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        error, max_rss = proc.stdout.split()
+        assert error in ("OverflowError", "MemoryError")
+        assert int(max_rss) < 200 << 20
 
     def test_as_degree_vector_accepts_int(self):
         assert as_degree_vector(3).degrees == (3,)

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from poincare_series import algebra, cli
 from poincare_series.algebra import (
+    ONE,
+    ZERO,
     FactoredRatFun,
     Poly,
     _binomial_passes,
@@ -65,6 +67,26 @@ def ref_divmod(a, b):
 
 def ref_derivative(a):
     return strip([i * c for i, c in enumerate(a)][1:])
+
+
+def ref_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for cs in (a, b):
+        for i, c in enumerate(cs):
+            out[i] += c
+    return strip(out)
+
+
+def ref_pow(a, n):
+    out = [Fraction(1)]
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_monic(a):
+    a = strip(a)
+    return [c / a[-1] for c in a]
 
 
 def values(p: Poly):
@@ -162,6 +184,42 @@ class TestAgainstReference:
     @SETTINGS
     def test_scalar_mul(self, a, c):
         assert values(Poly(a) * c) == strip([x * c for x in a])
+
+    @given(coeff_lists, coeff_lists, st.integers(1, 60), st.integers(1, 60))
+    @SETTINGS
+    def test_add(self, a, b, da, db):
+        # each operand over its own denominator, so the sum is over their lcm
+        a, b = [Fraction(c) / da for c in a], [Fraction(c) / db for c in b]
+        assert values(Poly(a) + Poly(b)) == ref_add(a, b)
+        assert values(Poly(b) + Poly(a)) == ref_add(b, a)
+
+    @given(st.lists(coefficients, max_size=8), st.integers(0, 5))
+    @SETTINGS
+    def test_pow(self, a, n):
+        assert values(Poly(a) ** n) == ref_pow(a, n)
+
+    def test_negative_pow_rejected(self):
+        for p in (ZERO, ONE, Poly([1, Fraction(1, 2)])):
+            with pytest.raises(ValueError):
+                p ** -1
+
+    @given(
+        coeff_lists,
+        st.one_of(
+            st.integers(1, 2**70),
+            st.integers(-(2**70), -1),
+            st.fractions(max_denominator=30).filter(bool),
+        ),
+    )
+    @SETTINGS
+    def test_monic(self, body, lead):
+        # a positive, a negative or a Fraction leading coefficient
+        a = body + [lead]
+        assert values(Poly(a).monic()) == ref_monic(a)
+
+    def test_monic_of_zero(self):
+        # equal fields: no numerators, over 1
+        assert ZERO.monic() == ZERO
 
     @given(coeff_lists, divisor_lists)
     @SETTINGS

@@ -170,7 +170,7 @@ def test_operator_route_builds_no_per_term_objects():
         "_poles", "_pole_numerators", "_pole_series", "_pole_part",
         "_multisect_sum", "_packed_multisect", "_poincare_cached",
     }
-    forbidden = {"Poly", "FactoredRatFun", "PFD", "_int_mul", "partial_fractions"}
+    forbidden = {"Poly", "FactoredRatFun", "PFD", "_kronecker_mul", "partial_fractions"}
     tree = ast.parse((SRC / "springer.py").read_text(encoding="utf-8"))
     found = {}
     for func in tree.body:
